@@ -1,90 +1,17 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The one long floating-point loop in the package.
 
-The only loop in the package that touches millions of floats is the shifted
-power sum behind the polygamma series oracle.  It is compiled with numba
-when available; setting the environment variable ``POLYLIM_BACKEND`` to
-``numpy`` or ``numba`` forces one path (``auto``, the default, prefers
-numba).  Everything else in the package is exact big-integer arithmetic or
-scalar special-function evaluation and gains nothing from compilation.
+The shifted power sum behind the polygamma series oracle is the only loop
+that touches many floats.  It is plain Python over ``math.fsum``, which
+rounds the sum of the computed terms once, so the result does not depend on
+summation order.  The terms are generated lazily, so memory stays flat at any
+term count.  Everything else in the package is exact big-integer arithmetic
+or scalar special-function evaluation.
 """
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-BACKEND_ENV = "POLYLIM_BACKEND"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    HAVE_NUMBA = False
-
-# Chunk size keeps the numpy path's scratch arrays at 8 MiB.
-_CHUNK = 1 << 20
-
-
-def active_backend() -> str:
-    """Resolve the backend name ('numba' or 'numpy') for the current call."""
-    choice = os.environ.get(BACKEND_ENV, "auto").strip().lower() or "auto"
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError(
-                f"{BACKEND_ENV}=numba requested but numba is not importable"
-            )
-        return "numba"
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    raise ValueError(f"unrecognized {BACKEND_ENV} value: {choice!r}")
+import math
 
 
 def shifted_power_sum(x: float, exponent: int, terms: int) -> float:
-    """Sum of (x + k)**(-exponent) over k = 0 .. terms-1.
-
-    Both backends sum small-to-large (numba: reversed Kahan loop; numpy:
-    pairwise block sums), so the result is accurate to a few ulp even for
-    millions of terms.
-    """
-    if terms <= 0:
-        return 0.0
-    if active_backend() == "numba":
-        return float(_power_sum_numba(float(x), exponent, terms))
-    return _power_sum_numpy(float(x), float(-exponent), terms)
-
-
-def _power_sum_numpy(x: float, power: float, terms: int) -> float:
-    partials = []
-    for start in range(0, terms, _CHUNK):
-        stop = min(start + _CHUNK, terms)
-        block = x + np.arange(start, stop, dtype=np.float64)
-        partials.append(np.sum(block**power))
-    return float(np.sum(np.array(partials[::-1])))
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _power_sum_numba(x: float, exponent: int, terms: int) -> float:
-        # Repeated multiplication beats libm pow for small integer exponents.
-        total = 0.0
-        carry = 0.0
-        for k in range(terms - 1, -1, -1):
-            base = 1.0 / (x + k)
-            term = base
-            for _ in range(exponent - 1):
-                term *= base
-            y = term - carry
-            t = total + y
-            carry = (t - total) - y
-            total = t
-        return total
-
-else:  # pragma: no cover - exercised only without numba
-
-    def _power_sum_numba(x: float, exponent: int, terms: int) -> float:
-        raise RuntimeError("numba backend invoked but numba is unavailable")
+    """Sum of (x + k)**(-exponent) over k = 0 .. terms-1."""
+    return math.fsum((x + k) ** -exponent for k in range(terms))

@@ -186,6 +186,20 @@ def expansion(order: int) -> CotDerivExpansion:
     return CotDerivExpansion(order=order, sin_exponent=order + 1, harmonics=harmonics)
 
 
+def _checked_quotient(num: float, denom: float, order: int, where: str) -> float:
+    """num / sin**(order+1), or DomainError when it leaves double range.
+
+    Near a pole the power of sin underflows to 0 (or the quotient overflows)
+    long before the pole guard trips, for orders above about 20.
+    """
+    value = num / denom if denom else math.inf
+    if not math.isfinite(value):
+        raise DomainError(
+            f"cot^({order}) at {where} exceeds double precision range"
+        )
+    return value
+
+
 def eval_cot_deriv(order: int, x: float) -> float:
     """Evaluate cot^(order) at x (radians) in double precision."""
     order = as_index(order, "order")
@@ -206,7 +220,7 @@ def eval_cot_deriv(order: int, x: float) -> float:
     if order == 0:
         return math.cos(x) / s
     num = sum(b * math.cos(j * x) for j, b in expansion(order).harmonics)
-    return num / s ** (order + 1)
+    return _checked_quotient(num, s ** (order + 1), order, f"x={x}")
 
 
 def eval_cot_deriv_pi(order: int, z: float) -> float:
@@ -243,7 +257,7 @@ def eval_cot_deriv_pi(order: int, z: float) -> float:
     denom = s ** (order + 1)
     if (m * (order + 1)) % 2:
         denom = -denom
-    return num / denom
+    return _checked_quotient(num, denom, order, f"pi*{z}")
 
 
 @lru_cache(maxsize=None)

@@ -53,11 +53,14 @@ class ProbeFailureError(PolylimError, RuntimeError):
 
 
 def as_index(value, name: str) -> int:
-    """Coerce an integral argument (int, numpy integer, ...) to int.
+    """Coerce an integral argument (any type with ``__index__``) to int.
 
     Floats are rejected even when integral: parity logic downstream must
-    never silently truncate.
+    never silently truncate.  ``bool`` is rejected too: ``True`` as an order
+    or a multiplier is a caller's mistake, not the integer 1.
     """
+    if isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:

@@ -23,7 +23,7 @@ from .polygamma import (
 
 SUITE_NAMES = ("coeffs", "reflection", "limits", "all")
 
-DEFAULT_ORACLE_TERMS = 1_000_000
+DEFAULT_ORACLE_TERMS = 1_000
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,13 @@ class TestEvalCot:
         assert obj["order"] == 3
         assert obj["value"] == pytest.approx(-16.0)
 
+    def test_out_of_range_is_computational_failure(self):
+        cp = run_cli("eval-cot", "--order", "40", "--x", "1e-11")
+        assert cp.returncode == 1
+        assert cp.stderr.startswith("polylim: ")
+        assert "Traceback" not in cp.stderr
+        assert cp.stdout == ""
+
     def test_pole_is_computational_failure(self, capsys):
         code, out, err = run_main(capsys, "eval-cot", "--order", "1", "--x",
                                   "3.141592653589793")
@@ -225,6 +232,17 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--suite", "reflection"])
         assert excinfo.value.code == 2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    cp = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, polylim.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "False\n"
 
 
 class TestUsageErrors:

@@ -64,6 +64,8 @@ class TestCoeff:
             coeff(-2, 1)
         with pytest.raises(DomainError):
             coeff(2.0, 1)
+        with pytest.raises(DomainError):
+            coeff(True, 0)
 
 
 class TestCoeffUnified:
@@ -168,6 +170,21 @@ class TestEvalCotDeriv:
                 assert eval_cot_deriv_pi(p, 0.23 + shift) == pytest.approx(
                     base, rel=1e-13
                 )
+
+    def test_bool_order_rejected(self):
+        with pytest.raises(DomainError):
+            eval_cot_deriv(True, 1.0)
+        with pytest.raises(DomainError):
+            eval_cot_deriv_pi(True, 0.3)
+
+    def test_underflowed_sine_power_is_domain_error(self):
+        # sin(x)**41 underflows to 0 although |sin x| clears the pole guard.
+        with pytest.raises(DomainError):
+            eval_cot_deriv(40, 1e-11)
+
+    def test_pi_scaled_underflowed_sine_power_is_domain_error(self):
+        with pytest.raises(DomainError):
+            eval_cot_deriv_pi(60, 1e-11)
 
     def test_pi_scaled_pole_guard_carries_location(self):
         with pytest.raises(PoleError) as excinfo:

@@ -22,6 +22,7 @@ from polylim.polygamma import (
     METHOD_REFLECTION,
     METHOD_SHIFTED,
 )
+from polylim.verify import DEFAULT_ORACLE_TERMS
 
 
 def grid(lo, hi, count):
@@ -79,6 +80,15 @@ class TestSeriesOracle:
         at_one = polygamma_series_oracle(1, 1.0, 10**6)
         at_two = polygamma_series_oracle(1, 2.0, 10**6)
         assert at_two == pytest.approx(at_one - 1.0, abs=1e-9)
+
+    def test_default_terms_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for n in range(1, 9):
+                for x in (0.5, 1.0, 1.5, 2.0, 5.0, 10.0):
+                    got = polygamma_series_oracle(n, x, DEFAULT_ORACLE_TERMS)
+                    ref = mpmath.psi(n, x)
+                    assert abs((got - ref) / ref) <= 1e-15, (n, x)
 
     def test_order_zero_unsupported(self):
         with pytest.raises(DomainError):
@@ -194,6 +204,20 @@ class TestPolygammaErrors:
             polygamma(1.5, 1.0)
         with pytest.raises(DomainError):
             polygamma(171, 1.0)
+        with pytest.raises(DomainError):
+            polygamma(True, 1.0)
+
+    @pytest.mark.parametrize(
+        "order, x",
+        [
+            (60, -3 + 1e-11),  # sin(pi x)**61 underflows to 0
+            (170, 0.5),  # 170! * 2**171 overflows
+            (30, -3 + 1e-9),  # the reflection term overflows
+        ],
+    )
+    def test_out_of_range_value_is_domain_error(self, order, x):
+        with pytest.raises(DomainError):
+            polygamma(order, x)
 
 
 class TestReflectionResidual:
