@@ -17,6 +17,10 @@ from .polygamma import polygamma
 
 PRECISION_ENV = "POLYLIM_PRECISION_TERMS"
 
+# Largest order `coeffs` builds tables for.  Its biggest coefficient has 2567
+# digits, below Python's 4300-digit limit on int-to-str conversion.
+MAX_COEFF_ORDER = 1000
+
 _FAMILIES = {
     "gamma": limits.FAMILY_GAMMA,
     "polygamma": limits.FAMILY_POLYGAMMA,
@@ -40,7 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write here instead of stdout")
 
     p = sub.add_parser("coeffs", help="expansion tables for orders 1..P")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument(
+        "--order", type=int, required=True, help=f"P, at most {MAX_COEFF_ORDER}"
+    )
     add_io_flags(p)
 
     p = sub.add_parser("eval-cot", help="evaluate a cotangent derivative")
@@ -192,6 +198,11 @@ def _run_verify(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.subcommand == "coeffs" and args.order > MAX_COEFF_ORDER:
+        parser.error(
+            f"argument --order: at most {MAX_COEFF_ORDER} for coeffs, "
+            f"got {args.order}"
+        )
     runners = {
         "coeffs": _run_coeffs,
         "eval-cot": _run_eval_cot,

@@ -7,13 +7,15 @@ sin x::
 
 where j runs over 0, 2, ..., p-1 for odd p and 1, 3, ..., p-1 for even p,
 and the b[p,j] are integers.  This module generates those integers exactly,
-evaluates the closed form, and carries an independent oracle: the same
-derivative written as an integer polynomial in t = cot x, obtained by
-repeatedly applying  P(t) -> P'(t) * (-1 - t**2).
+evaluates the closed form, and carries three independent routes to them:
 
-Two independent routes from the oracle back to the harmonic coefficients are
-provided for cross-checking: numeric evaluation and an exact product-to-sum
-rewrite of the polynomial form into the cosine basis.
+* the tables behind ``expansion``, built by an O(p) integer recurrence per
+  order that comes from differentiating the numerator over sin**(p+1);
+* the paper's piecewise and unified formulas, ``coeff`` and
+  ``coeff_unified``, which serve point requests and cross-checks;
+* a polynomial oracle: the same derivative written as an integer polynomial
+  in t = cot x, obtained by repeatedly applying  P(t) -> P'(t) * (-1 - t**2),
+  and rewritten exactly into the cosine basis.
 """
 from __future__ import annotations
 
@@ -99,16 +101,16 @@ class CotPolynomial:
         return acc
 
 
-def coeff(order: int, multiplier: int) -> int:
-    """Exact integer coefficient of cos(multiplier * x) in cot^(order).
-
-    Raises InvalidHarmonicError when order + multiplier is even (no such
-    harmonic exists) and HarmonicRangeError when multiplier >= order.
-    """
+def _harmonic_index(order, multiplier, unified: bool = False) -> tuple[int, int]:
+    """Validate an (order, multiplier) pair of the closed form; return ints."""
     p = as_index(order, "order")
     q = as_index(multiplier, "multiplier")
     if p < 1:
         raise DomainError(f"derivative order must be >= 1, got {p}")
+    if unified and q == 0:
+        raise DomainError(
+            "unified formula is defined only for 0 < multiplier < order"
+        )
     if q < 0:
         raise DomainError(f"multiplier must be >= 0, got {q}")
     if (p + q) % 2 == 0:
@@ -120,6 +122,17 @@ def coeff(order: int, multiplier: int) -> int:
         raise HarmonicRangeError(
             f"multiplier {q} out of range for order {p} (need multiplier < order)"
         )
+    return p, q
+
+
+def coeff(order: int, multiplier: int) -> int:
+    """Exact integer coefficient of cos(multiplier * x) in cot^(order).
+
+    The paper's piecewise formula.  Raises InvalidHarmonicError when
+    order + multiplier is even (no such harmonic exists) and
+    HarmonicRangeError when multiplier >= order.
+    """
+    p, q = _harmonic_index(order, multiplier)
     if p == 1:
         return -1
     if p % 2:
@@ -149,30 +162,42 @@ def coeff_unified(order: int, multiplier: int) -> int:
     formula does not reproduce them (it gives -8 instead of -4 at order 3),
     so that column stays with the piecewise formulas.
     """
-    p = as_index(order, "order")
-    q = as_index(multiplier, "multiplier")
-    if p < 1:
-        raise DomainError(f"derivative order must be >= 1, got {p}")
-    if q == 0:
-        raise DomainError(
-            "unified formula is defined only for 0 < multiplier < order"
-        )
-    if q < 0:
-        raise DomainError(f"multiplier must be >= 0, got {q}")
-    if (p + q) % 2 == 0:
-        raise InvalidHarmonicError(
-            f"no cos({q}x) harmonic in the order-{p} derivative: "
-            "order and multiplier must have opposite parity"
-        )
-    if q >= p:
-        raise HarmonicRangeError(
-            f"multiplier {q} out of range for order {p} (need multiplier < order)"
-        )
+    p, q = _harmonic_index(order, multiplier, unified=True)
     m = (p - q - 1) // 2
     sign = -1 if p % 2 else 1
     return sign * 2 * sum(
         (-1) ** ell * comb(p + 1, ell) * (m - ell + 1) ** p for ell in range(m + 1)
     )
+
+
+# _ROWS[p][j] = b[p, j]; row p has length p + 2 and starts from
+# cot x = cos x / sin x.  Extended on demand by _numerator_row.
+_ROWS: list[list[int]] = [[0, 1]]
+
+
+def _numerator_row(order: int) -> list[int]:
+    """Coefficient row b[order, .], building the missing rows first.
+
+    With N_p the numerator over sin**(p+1), differentiating gives
+    N_{p+1} = N_p' sin x - (p+1) N_p cos x.  Rewriting each product as a sum
+    of cosines, with cos(-x) folded into cos(x), turns that into
+
+        2 b[p+1, |j-1|] += (-j-(p+1)) b[p, j]
+        2 b[p+1, j+1]   += (j-(p+1)) b[p, j]
+
+    Row p holds only multipliers j with j + p odd, so both factors are even
+    and the halving is exact.
+    """
+    while len(_ROWS) <= order:
+        p = len(_ROWS) - 1
+        row = _ROWS[p]
+        nxt = [0] * (p + 3)
+        for j in range(1 - p % 2, p + 2, 2):
+            b = row[j]
+            nxt[abs(j - 1)] -= (j + p + 1) * b
+            nxt[j + 1] += (j - p - 1) * b
+        _ROWS.append([v // 2 for v in nxt])
+    return _ROWS[order]
 
 
 @lru_cache(maxsize=None)
@@ -181,8 +206,9 @@ def expansion(order: int) -> CotDerivExpansion:
     order = as_index(order, "order")
     if order < 1:
         raise DomainError(f"derivative order must be >= 1, got {order}")
+    row = _numerator_row(order)
     start = 0 if order % 2 else 1
-    harmonics = tuple((j, coeff(order, j)) for j in range(start, order, 2))
+    harmonics = tuple((j, row[j]) for j in range(start, order, 2))
     return CotDerivExpansion(order=order, sin_exponent=order + 1, harmonics=harmonics)
 
 
@@ -200,8 +226,8 @@ def _checked_quotient(num: float, denom: float, order: int, where: str) -> float
     return value
 
 
-def eval_cot_deriv(order: int, x: float) -> float:
-    """Evaluate cot^(order) at x (radians) in double precision."""
+def _eval_order(order) -> int:
+    """Validate the order of a double-precision evaluation; return an int."""
     order = as_index(order, "order")
     if order < 0:
         raise DomainError(f"derivative order must be >= 0, got {order}")
@@ -209,6 +235,12 @@ def eval_cot_deriv(order: int, x: float) -> float:
         raise DomainError(
             f"order {order} exceeds double precision range (max {MAX_EVAL_ORDER})"
         )
+    return order
+
+
+def eval_cot_deriv(order: int, x: float) -> float:
+    """Evaluate cot^(order) at x (radians) in double precision."""
+    order = _eval_order(order)
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x}")
     s = math.sin(x)
@@ -231,13 +263,7 @@ def eval_cot_deriv_pi(order: int, z: float) -> float:
     which direct evaluation at the rounded product pi*z cannot do.  Used by
     the polygamma reflection path and the pole probes.
     """
-    order = as_index(order, "order")
-    if order < 0:
-        raise DomainError(f"derivative order must be >= 0, got {order}")
-    if order > MAX_EVAL_ORDER:
-        raise DomainError(
-            f"order {order} exceeds double precision range (max {MAX_EVAL_ORDER})"
-        )
+    order = _eval_order(order)
     if not math.isfinite(z) or abs(z) >= 2.0**52:
         raise DomainError(f"argument out of reducible range: {z}")
     m = round(z)

@@ -172,6 +172,12 @@ def _positive(order: int, x: float) -> tuple[float, int]:
     return value, shifts
 
 
+def _out_of_range(order: int, x: float) -> DomainError:
+    return DomainError(
+        f"polygamma of order {order} at x={x} exceeds double precision range"
+    )
+
+
 def polygamma(order: int, x: float) -> PolygammaResult:
     """Evaluate the order-th polygamma at real x with path bookkeeping."""
     order = as_index(order, "order")
@@ -183,25 +189,28 @@ def polygamma(order: int, x: float) -> PolygammaResult:
         )
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x}")
-    if x >= 0.5:
-        value, shifts = _positive(order, x)
-        method = METHOD_ASYMPTOTIC if shifts == 0 else METHOD_SHIFTED
-    else:
-        nearest = round(x)
-        if abs(x - nearest) < POLE_PROXIMITY:
-            raise PoleError(
-                f"x={x} is within {POLE_PROXIMITY} of the pole at {nearest}",
-                location=nearest,
-            )
-        # psi^(n)(x) = (-1)^n psi^(n)(1 - x) - pi^(n+1) cot^(n)(pi x)
-        reflected, shifts = _positive(order, 1.0 - x)
-        cot_term = math.pi ** (order + 1) * eval_cot_deriv_pi(order, x)
-        signed = -reflected if order % 2 else reflected
-        value, method = signed - cot_term, METHOD_REFLECTION
+    try:
+        if x >= 0.5:
+            value, shifts = _positive(order, x)
+            method = METHOD_ASYMPTOTIC if shifts == 0 else METHOD_SHIFTED
+        else:
+            nearest = round(x)
+            if abs(x - nearest) < POLE_PROXIMITY:
+                raise PoleError(
+                    f"x={x} is within {POLE_PROXIMITY} of the pole at {nearest}",
+                    location=nearest,
+                )
+            # psi^(n)(x) = (-1)^n psi^(n)(1 - x) - pi^(n+1) cot^(n)(pi x)
+            reflected, shifts = _positive(order, 1.0 - x)
+            cot_term = math.pi ** (order + 1) * eval_cot_deriv_pi(order, x)
+            signed = -reflected if order % 2 else reflected
+            value, method = signed - cot_term, METHOD_REFLECTION
+    except OverflowError:
+        # The powers of x in the asymptotic series leave double range for
+        # large arguments (x**(order + 2) at polygamma(3, 1e300)).
+        raise _out_of_range(order, x) from None
     if not math.isfinite(value):
-        raise DomainError(
-            f"polygamma of order {order} at x={x} exceeds double precision range"
-        )
+        raise _out_of_range(order, x)
     return PolygammaResult(order, x, value, method, shifts)
 
 

@@ -76,14 +76,25 @@ def _check_oracle_equivalence() -> CheckResult:
 
 
 def _check_unified_agreement() -> CheckResult:
+    """The paper's piecewise formula against the recurrence-built tables and
+    the unified formula, which is defined for nonzero multipliers only."""
     failures = []
-    pairs = 0
+    harmonics = pairs = 0
     for p in range(1, 31):
-        for q in range(2 if p % 2 else 1, p, 2):
-            pairs += 1
-            if cotderiv.coeff_unified(p, q) != cotderiv.coeff(p, q):
-                failures.append(f"({p},{q}): unified != piecewise")
-    return _result("unified-piecewise-agreement", failures, f"{pairs} pairs exact")
+        for q, b in cotderiv.expansion(p).harmonics:
+            harmonics += 1
+            piecewise = cotderiv.coeff(p, q)
+            if b != piecewise:
+                failures.append(f"({p},{q}): table != piecewise")
+            if q:
+                pairs += 1
+                if cotderiv.coeff_unified(p, q) != piecewise:
+                    failures.append(f"({p},{q}): unified != piecewise")
+    return _result(
+        "unified-piecewise-agreement",
+        failures,
+        f"{harmonics} table harmonics and {pairs} unified pairs exact",
+    )
 
 
 def _check_finite_difference() -> CheckResult:

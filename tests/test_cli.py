@@ -12,7 +12,7 @@ from polylim import (
     ProbeReport,
     expansion,
 )
-from polylim.cli import main
+from polylim.cli import MAX_COEFF_ORDER, main
 
 GOLDEN_COEFFS_ORDER1_JSON = """\
 [
@@ -167,6 +167,13 @@ class TestPolygammaCommand:
         assert code == 1
         assert "pole" in err.lower()
 
+    def test_overflow_is_computational_failure(self):
+        cp = run_cli("polygamma", "--order", "3", "--x", "1e300")
+        assert cp.returncode == 1
+        assert cp.stderr.startswith("polylim: ")
+        assert "Traceback" not in cp.stderr
+        assert cp.stdout == ""
+
 
 class TestLimitCommand:
     def test_json_round_trips(self, capsys):
@@ -258,3 +265,10 @@ class TestUsageErrors:
     def test_bad_family(self):
         cp = run_cli("limit", "--family", "zeta", "--n", "1", "--q", "1")
         assert cp.returncode == 2
+
+    def test_coeffs_order_above_cap(self):
+        cp = run_cli("coeffs", "--order", str(MAX_COEFF_ORDER + 1))
+        assert cp.returncode == 2
+        assert "usage" in cp.stderr.lower()
+        assert f"at most {MAX_COEFF_ORDER}" in cp.stderr
+        assert cp.stdout == ""

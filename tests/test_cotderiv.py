@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from polylim import (
     harmonics_from_polynomial,
     oracle_expansion,
 )
+from polylim import cotderiv
 
 
 def grid(lo, hi, count):
@@ -107,7 +109,7 @@ class TestExpansion:
         assert expansion(4).sin_exponent == 5
 
     def test_coefficient_sum_is_signed_factorial(self):
-        for p in range(1, 51):
+        for p in range(1, 221):
             expected = math.factorial(p) * (-1 if p % 2 else 1)
             assert expansion(p).coefficient_sum() == expected, p
 
@@ -121,6 +123,28 @@ class TestExpansion:
     def test_json_round_trip(self):
         e = expansion(9)
         assert CotDerivExpansion.from_json_dict(e.to_json_dict()) == e
+
+    def test_recurrence_tables_match_piecewise_formula(self):
+        for p in range(1, 61):
+            start = 0 if p % 2 else 1
+            assert expansion(p).harmonics == tuple(
+                (j, coeff(p, j)) for j in range(start, p, 2)
+            ), p
+
+    def test_request_order_does_not_change_tables(self, monkeypatch):
+        def tables(orders):
+            monkeypatch.setattr(cotderiv, "_ROWS", [[0, 1]])
+            expansion.cache_clear()
+            return {p: expansion(p) for p in orders}
+
+        ascending = tables(range(1, 81))
+        orders = list(range(1, 81))
+        random.Random(80).shuffle(orders)
+        assert tables(orders) == ascending
+
+    def test_expansion_keeps_its_cache(self):
+        # perfbench's tracer counts table builds through cache_info().misses.
+        assert expansion.cache_info().maxsize is None
 
     def test_invalid_construction_rejected(self):
         with pytest.raises(DomainError):

@@ -69,17 +69,17 @@ class TestBernoulli:
 
 class TestSeriesOracle:
     def test_trigamma_at_one_is_pi_squared_over_six(self):
-        value = polygamma_series_oracle(1, 1.0, 10**6)
-        assert value == pytest.approx(math.pi**2 / 6, abs=1e-9)
+        value = polygamma_series_oracle(1, 1.0, DEFAULT_ORACLE_TERMS)
+        assert value == pytest.approx(math.pi**2 / 6, abs=1e-12)
 
     def test_tetragamma_at_one_is_minus_two_zeta_three(self):
-        value = polygamma_series_oracle(2, 1.0, 10**6)
-        assert value == pytest.approx(-2.0 * zeta3_reference(), abs=1e-9)
+        value = polygamma_series_oracle(2, 1.0, DEFAULT_ORACLE_TERMS)
+        assert value == pytest.approx(-2.0 * zeta3_reference(), abs=1e-12)
 
     def test_recurrence_step_at_two(self):
-        at_one = polygamma_series_oracle(1, 1.0, 10**6)
-        at_two = polygamma_series_oracle(1, 2.0, 10**6)
-        assert at_two == pytest.approx(at_one - 1.0, abs=1e-9)
+        at_one = polygamma_series_oracle(1, 1.0, DEFAULT_ORACLE_TERMS)
+        at_two = polygamma_series_oracle(1, 2.0, DEFAULT_ORACLE_TERMS)
+        assert at_two == pytest.approx(at_one - 1.0, abs=1e-12)
 
     def test_default_terms_match_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
@@ -125,8 +125,8 @@ class TestPolygammaValues:
         for n in range(1, 9):
             for x in (0.5, 1.0, 1.5, 2.0, 5.0, 10.0):
                 fast = polygamma(n, x).value
-                slow = polygamma_series_oracle(n, x, 10**6)
-                assert abs(fast - slow) <= 1e-9 * abs(slow), (n, x)
+                slow = polygamma_series_oracle(n, x, DEFAULT_ORACLE_TERMS)
+                assert abs(fast - slow) <= 1e-12 * abs(slow), (n, x)
 
     def test_recurrence_identity(self):
         for n in range(0, 9):
@@ -217,6 +217,19 @@ class TestPolygammaErrors:
     )
     def test_out_of_range_value_is_domain_error(self, order, x):
         with pytest.raises(DomainError):
+            polygamma(order, x)
+
+    @pytest.mark.parametrize(
+        "order, x",
+        [
+            (3, 1e300),  # x**order overflows
+            (170, 1e3),  # x**(order + 2) overflows
+            (1, 1e200),
+            (2, 1e200),
+        ],
+    )
+    def test_overflowing_asymptotic_power_is_domain_error(self, order, x):
+        with pytest.raises(DomainError, match="exceeds double precision range"):
             polygamma(order, x)
 
 
