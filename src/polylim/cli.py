@@ -7,6 +7,7 @@ codes: 0 success, 1 computational or verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -20,6 +21,14 @@ PRECISION_ENV = "POLYLIM_PRECISION_TERMS"
 # Largest order `coeffs` builds tables for.  Its biggest coefficient has 2567
 # digits, below Python's 4300-digit limit on int-to-str conversion.
 MAX_COEFF_ORDER = 1000
+
+# Bounds on `limit`, for the same reason: the gamma family prints
+# (max(n, q) * k)!-sized integers and 1000! has 2568 digits; the polygamma
+# family prints (q/n)**(i+1), at most 1000**171 (514 digits), and 170 is
+# also the highest order the polygamma evaluator takes.
+MAX_GAMMA_FACTORIAL = 1000
+MAX_LIMIT_ORDER = 170
+MAX_LIMIT_SCALE = 1000
 
 _FAMILIES = {
     "gamma": limits.FAMILY_GAMMA,
@@ -79,29 +88,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
+@contextlib.contextmanager
+def _sink(output: str | None):
     if output is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        yield sys.stdout
     else:
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+            yield handle
+
+
+def _emit(text: str, output: str | None) -> None:
+    with _sink(output) as handle:
+        handle.write(text)
+        if not text.endswith("\n"):
+            handle.write("\n")
 
 
 def _run_coeffs(args) -> int:
-    expansions = list(cotderiv.expansions_up_to(args.order))
-    if args.fmt == "json":
-        text = json.dumps([e.to_json_dict() for e in expansions], indent=2)
-    else:
-        lines = ["order,sin_exponent,multiplier,coefficient"]
-        for e in expansions:
-            for j, b in e.harmonics:
-                lines.append(f"{e.order},{e.sin_exponent},{j},{b}")
-        text = "\n".join(lines)
-    _emit(text, args.output)
+    # Written one order at a time: the whole table grows as about P**3.
+    expansions = cotderiv.expansions_up_to(args.order)
+    with _sink(args.output) as handle:
+        if args.fmt == "json":
+            # The same bytes as json.dumps(list_of_dicts, indent=2): each
+            # element's lines indented two more spaces.
+            separator = "[\n"
+            for e in expansions:
+                element = json.dumps(e.to_json_dict(), indent=2)
+                handle.write(separator + "  " + element.replace("\n", "\n  "))
+                separator = ",\n"
+            handle.write("\n]\n")
+        else:
+            handle.write("order,sin_exponent,multiplier,coefficient\n")
+            for e in expansions:
+                handle.write(
+                    "".join(
+                        f"{e.order},{e.sin_exponent},{j},{b}\n"
+                        for j, b in e.harmonics
+                    )
+                )
     return 0
 
 
@@ -195,14 +219,45 @@ def _run_verify(args) -> int:
     return 1 if failed else 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _cap_violation(args) -> str | None:
+    """Why the request exceeds the work a single call may demand, if it does.
+
+    Values below a family's domain pass, so that the library reports them.
+    """
     if args.subcommand == "coeffs" and args.order > MAX_COEFF_ORDER:
-        parser.error(
+        return (
             f"argument --order: at most {MAX_COEFF_ORDER} for coeffs, "
             f"got {args.order}"
         )
+    if args.subcommand != "limit":
+        return None
+    scale = max(args.n, args.q)
+    if args.family == "gamma":
+        if scale * max(args.k, 0) > MAX_GAMMA_FACTORIAL:
+            return (
+                f"argument --k: max(--n, --q) * --k is at most "
+                f"{MAX_GAMMA_FACTORIAL} for the gamma family, got "
+                f"{scale} * {args.k}"
+            )
+    elif args.i > MAX_LIMIT_ORDER:
+        return (
+            f"argument --i: at most {MAX_LIMIT_ORDER} for the polygamma "
+            f"family, got {args.i}"
+        )
+    elif scale > MAX_LIMIT_SCALE:
+        return (
+            f"argument --n/--q: at most {MAX_LIMIT_SCALE} for the polygamma "
+            f"family, got {scale}"
+        )
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    violation = _cap_violation(args)
+    if violation:
+        parser.error(violation)
     runners = {
         "coeffs": _run_coeffs,
         "eval-cot": _run_eval_cot,

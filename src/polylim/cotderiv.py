@@ -20,7 +20,7 @@ evaluates the closed form, and carries three independent routes to them:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -43,23 +43,28 @@ POLE_GUARD = 1e-12
 MAX_EVAL_ORDER = 170
 
 
-@dataclass(frozen=True)
-class CotDerivExpansion:
+class CotDerivExpansion(
+    namedtuple("CotDerivExpansion", "order sin_exponent harmonics")
+):
     """Closed form of cot^(order): cosine harmonics over sin**sin_exponent."""
 
-    order: int
-    sin_exponent: int
-    harmonics: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sin_exponent != self.order + 1:
+    def __new__(
+        cls,
+        order: int,
+        sin_exponent: int,
+        harmonics: tuple[tuple[int, int], ...],
+    ):
+        if sin_exponent != order + 1:
             raise DomainError("sin exponent must be order + 1")
-        expected = tuple(range(0 if self.order % 2 else 1, self.order, 2))
-        if tuple(j for j, _ in self.harmonics) != expected:
+        expected = tuple(range(0 if order % 2 else 1, order, 2))
+        if tuple(j for j, _ in harmonics) != expected:
             raise DomainError(
                 "harmonics must cover multipliers of opposite parity to the "
                 "order, ascending, below the order"
             )
+        return super().__new__(cls, order, sin_exponent, harmonics)
 
     def coefficient_sum(self) -> int:
         return sum(b for _, b in self.harmonics)
@@ -80,15 +85,14 @@ class CotDerivExpansion:
         )
 
 
-@dataclass(frozen=True)
-class CotPolynomial:
+class CotPolynomial(namedtuple("CotPolynomial", "coefficients")):
     """cot^(order) written as an integer polynomial in t = cot x.
 
     ``coefficients[i]`` multiplies t**i; the polynomial for the p-th
     derivative has degree p + 1.
     """
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -394,8 +398,11 @@ def harmonics_from_polynomial(
 
 
 def expansions_up_to(max_order: int) -> Iterator[CotDerivExpansion]:
-    """Yield expansion(1) .. expansion(max_order), for table output."""
+    """Iterate expansion(1) .. expansion(max_order), for table output.
+
+    The order is checked at the call, before any table is built, so a caller
+    that streams the tables fails before writing anything.
+    """
     if max_order < 1:
         raise DomainError(f"max order must be >= 1, got {max_order}")
-    for p in range(1, max_order + 1):
-        yield expansion(p)
+    return map(expansion, range(1, max_order + 1))

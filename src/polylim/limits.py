@@ -11,7 +11,7 @@ carry poles of equal order, making the ratio analytic in eps at 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, PoleError, ProbeFailureError, as_index
@@ -91,8 +91,12 @@ def gamma_laurent_leading(pole_index: int) -> Fraction:
     return Fraction((-1) ** k, math.factorial(k))
 
 
-@dataclass(frozen=True)
-class LimitSpec:
+class LimitSpec(
+    namedtuple(
+        "LimitSpec",
+        "family numerator_scale denominator_scale pole_index derivative_order",
+    )
+):
     """Which pole-ratio limit to take: family, scales, pole, derivative order.
 
     ``derivative_order`` is ignored by the gamma family.  ``pole_index`` does
@@ -100,21 +104,32 @@ class LimitSpec:
     samples.
     """
 
-    family: str
-    numerator_scale: int
-    denominator_scale: int
-    pole_index: int = 0
-    derivative_order: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in (FAMILY_GAMMA, FAMILY_POLYGAMMA):
-            raise DomainError(f"unknown limit family: {self.family!r}")
-        if self.numerator_scale < 1 or self.denominator_scale < 1:
+    def __new__(
+        cls,
+        family: str,
+        numerator_scale: int,
+        denominator_scale: int,
+        pole_index: int = 0,
+        derivative_order: int = 0,
+    ):
+        if family not in (FAMILY_GAMMA, FAMILY_POLYGAMMA):
+            raise DomainError(f"unknown limit family: {family!r}")
+        if numerator_scale < 1 or denominator_scale < 1:
             raise DomainError("scales must be >= 1")
-        if self.pole_index < 0:
+        if pole_index < 0:
             raise DomainError("pole index must be >= 0")
-        if self.derivative_order < 0:
+        if derivative_order < 0:
             raise DomainError("derivative order must be >= 0")
+        return super().__new__(
+            cls,
+            family,
+            numerator_scale,
+            denominator_scale,
+            pole_index,
+            derivative_order,
+        )
 
     def target(self) -> Fraction:
         if self.family == FAMILY_GAMMA:
@@ -151,17 +166,15 @@ class LimitSpec:
         )
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(
+    namedtuple(
+        "ProbeReport",
+        "spec epsilons samples extrapolated target abs_error converged",
+    )
+):
     """Samples of a pole ratio on an epsilon grid plus the extrapolation."""
 
-    spec: LimitSpec
-    epsilons: tuple[float, ...]
-    samples: tuple[float, ...]
-    extrapolated: float
-    target: Fraction
-    abs_error: float
-    converged: bool
+    __slots__ = ()
 
     def to_csv_lines(self, header: bool = True) -> list[str]:
         lines = []
@@ -294,6 +307,12 @@ def probe_limit(
             raise ProbeFailureError(
                 f"probe sample at z={z} tripped a pole guard: {exc}", z=z
             ) from exc
+        except OverflowError:
+            # A scale too large for a float, or a ratio beyond double range.
+            raise DomainError(
+                f"probe sample at z={-spec.pole_index + eps} exceeds double "
+                "precision range"
+            ) from None
     extrapolated = neville_extrapolate(epsilons, tuple(samples))
     target = spec.target()
     abs_error = abs(extrapolated - float(target))

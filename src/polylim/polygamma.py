@@ -14,10 +14,9 @@ shares no code with the evaluation paths above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from ._kernels import shifted_power_sum
 from .cotderiv import eval_cot_deriv_pi
@@ -43,8 +42,9 @@ METHOD_SHIFTED = "shifted-asymptotic"
 METHOD_REFLECTION = "reflection"
 
 
-@dataclass(frozen=True)
-class PolygammaResult:
+class PolygammaResult(
+    namedtuple("PolygammaResult", "order argument value method shift_count")
+):
     """Value of the order-th polygamma at ``argument`` plus path diagnostics.
 
     ``method`` records which evaluation region handled the argument;
@@ -52,11 +52,7 @@ class PolygammaResult:
     reflection path, the steps taken while evaluating at 1 - x).
     """
 
-    order: int
-    argument: float
-    value: float
-    method: str
-    shift_count: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -78,19 +74,36 @@ class PolygammaResult:
         )
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
+class BernoulliTable(namedtuple("BernoulliTable", "values")):
     """Bernoulli numbers B0 .. Bsize as exact rationals, B1 = -1/2."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = ()
 
     @classmethod
     def build(cls, size: int) -> "BernoulliTable":
-        # Defining recurrence: sum_{j=0}^{m} C(m+1, j) * B_j = 0 for m >= 1.
+        # Tangent numbers T_1, T_2, T_3, ... = 1, 2, 16, ... by the integer
+        # recurrence of Knuth and Buckholtz (Math. Comp. 21, 1967), then
+        # B_2k = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1)).  The odd B past
+        # B1 vanish.  Only integers are added; each B_2k is one Fraction.
+        half = size // 2
+        t = [0, 1] + [0] * (half - 1)
+        for k in range(2, half + 1):
+            t[k] = (k - 1) * t[k - 1]
+        for k in range(2, half + 1):
+            for j in range(k, half + 1):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        zero = Fraction(0)
         vals = [Fraction(1)]
         for m in range(1, size + 1):
-            acc = sum(comb(m + 1, j) * vals[j] for j in range(m))
-            vals.append(Fraction(-acc, m + 1))
+            if m == 1:
+                vals.append(Fraction(-1, 2))
+            elif m % 2:
+                vals.append(zero)
+            else:
+                k = m // 2
+                four_k = 4**k
+                sign = 1 if k % 2 else -1
+                vals.append(Fraction(sign * m * t[k], four_k * (four_k - 1)))
         return cls(values=tuple(vals))
 
     @property

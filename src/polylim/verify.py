@@ -7,7 +7,7 @@ sample grids are fixed, no randomness, no timestamps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -26,11 +26,8 @@ SUITE_NAMES = ("coeffs", "reflection", "limits", "all")
 DEFAULT_ORACLE_TERMS = 1_000
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name passed detail")):
+    __slots__ = ()
 
 
 def _grid(lo: float, hi: float, count: int) -> list[float]:
@@ -157,10 +154,14 @@ def _check_bernoulli() -> CheckResult:
     for m in range(3, 60, 2):
         if bernoulli(m) != 0:
             failures.append(f"B{m} != 0")
+    # The defining recurrence sum_{j<=m} C(m+1, j) * B_j = 0, summed exactly
+    # over the integers B_j * L, L the lcm of the denominators; the table is
+    # built from tangent numbers, so this is an independent check.
+    values = [bernoulli(j) for j in range(60)]
+    scale = math.lcm(*(b.denominator for b in values))
+    scaled = [b.numerator * (scale // b.denominator) for b in values]
     for m in range(1, 60):
-        acc = sum(
-            comb(m + 1, j) * bernoulli(j) for j in range(m + 1)
-        )
+        acc = sum(comb(m + 1, j) * scaled[j] for j in range(m + 1))
         if acc != 0:
             failures.append(f"recurrence defect at m={m}")
     return _result("bernoulli-recurrence", failures, "B0..B59 exact")

@@ -208,6 +208,46 @@ class TestLimitCommand:
         assert report.converged
         assert report.target == Fraction(1, 4)
 
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (("--family", "gamma", "--n", "1000", "--q", "1", "--k", "1"), 0),
+            (("--family", "gamma", "--n", "6", "--q", "1", "--k", "300"), 2),
+            (("--family", "gamma", "--n", "1", "--q", "501", "--k", "2",
+              "--probe"), 2),
+            (("--family", "gamma", "--n", "1", "--q", "999", "--k", "1",
+              "--probe"), 1),
+            (("--family", "gamma", "--n", "100000", "--q", "1", "--probe"), 1),
+            (("--family", "polygamma", "--i", "170", "--n", "1000", "--q",
+              "7"), 0),
+            (("--family", "polygamma", "--i", "10000", "--n", "3", "--q",
+              "1"), 2),
+            (("--family", "polygamma", "--i", "10000", "--n", "3", "--q",
+              "1", "--probe"), 2),
+            (("--family", "polygamma", "--i", "1", "--n", "3", "--q",
+              "1001"), 2),
+            (("--family", "gamma", "--n", "0", "--q", "2", "--k", "4"), 1),
+        ],
+    )
+    def test_work_is_bounded_without_a_traceback(self, capsys, args, code):
+        # Above the caps, printing the exact value would exceed Python's
+        # 4300-digit int-to-str limit; a sample beyond double range is a
+        # computational failure.
+        try:
+            got = main(["limit", *args])
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        assert got == code
+        if code == 0:
+            assert captured.err == ""
+        elif code == 1:
+            assert captured.err.startswith("polylim: ")
+        else:
+            assert "usage" in captured.err.lower()
+            assert "at most" in captured.err
+            assert captured.out == ""
+
     def test_negative_value_formatting(self, capsys):
         code, out, _ = run_main(capsys, "limit", "--family", "gamma", "--n",
                                 "2", "--q", "1", "--k", "1")
@@ -242,14 +282,22 @@ class TestVerifyCommand:
 
 
 def test_cli_import_leaves_numpy_unloaded():
+    # Every CLI call pays for what importing the CLI loads; dataclasses alone
+    # brings in inspect, ast, dis and tokenize.  perfbench's tracer patches
+    # the five polylim modules below right after `import polylim.cli`.
+    script = (
+        "import sys, polylim.cli\n"
+        "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])\n"
+        "print([m for m in ('cotderiv', 'polygamma', 'limits', 'verify', '_kernels')"
+        " if 'polylim.' + m not in sys.modules])\n"
+    )
     cp = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, polylim.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
     )
     assert cp.returncode == 0, cp.stderr
-    assert cp.stdout == "False\n"
+    assert cp.stdout == "[]\n[]\n"
 
 
 class TestUsageErrors:

@@ -151,6 +151,8 @@ class TestExpansion:
             CotDerivExpansion(order=2, sin_exponent=2, harmonics=((1, 2),))
         with pytest.raises(DomainError):
             CotDerivExpansion(order=2, sin_exponent=3, harmonics=((0, 2),))
+        with pytest.raises(DomainError):
+            CotDerivExpansion(3, 4, ((1, 2),))
 
 
 class TestEvalCotDeriv:

@@ -189,6 +189,19 @@ class TestProbeLimit:
             spec_for(FAMILY_GAMMA, 1, 1, k=-1)
         with pytest.raises(DomainError):
             spec_for(FAMILY_POLYGAMMA, 1, 1, i=-1)
+        with pytest.raises(DomainError):
+            LimitSpec(FAMILY_GAMMA, 2, -1)
+
+    def test_spec_is_an_immutable_record(self):
+        spec = LimitSpec(FAMILY_GAMMA, 3, 2)
+        assert spec == spec_for(FAMILY_GAMMA, 3, 2, k=0, i=0)
+        assert hash(spec) == hash(spec_for(FAMILY_GAMMA, 3, 2))
+        assert repr(spec) == (
+            "LimitSpec(family='gamma-ratio', numerator_scale=3, "
+            "denominator_scale=2, pole_index=0, derivative_order=0)"
+        )
+        with pytest.raises(AttributeError):
+            spec.pole_index = 1
 
 
 class TestSerialization:

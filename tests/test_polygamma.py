@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polylim import (
+    BernoulliTable,
     DomainError,
     PoleError,
     PolygammaResult,
@@ -58,6 +59,16 @@ class TestBernoulli:
         for m in range(1, 60):
             acc = sum(comb(m + 1, j) * bernoulli(j) for j in range(m + 1))
             assert acc == 0, m
+        # The tables come from tangent numbers; solve the defining recurrence
+        # sum_{j<=m} C(m+1, j) * B_j = 0 for B_m directly as the reference.
+        reference = [Fraction(1)]
+        for m in range(1, 81):
+            acc = sum(comb(m + 1, j) * reference[j] for j in range(m))
+            reference.append(-acc / (m + 1))
+        for size in range(81):
+            table = BernoulliTable.build(size)
+            assert table.values == tuple(reference[: size + 1]), size
+            assert table.size == size
 
     def test_capacity(self):
         assert bernoulli(60) != 0
