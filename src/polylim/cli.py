@@ -3,6 +3,9 @@
 Subcommands: coeffs, eval-cot, polygamma, limit, verify.  Output is CSV by
 default, JSON with --format json, written to stdout or --output.  Exit
 codes: 0 success, 1 computational or verification failure, 2 usage error.
+
+This module alone defines the CSV and JSON layouts; the library's records
+are plain data.  Exact integers print as decimal strings.
 """
 from __future__ import annotations
 
@@ -24,10 +27,9 @@ MAX_COEFF_ORDER = 1000
 
 # Bounds on `limit`, for the same reason: the gamma family prints
 # (max(n, q) * k)!-sized integers and 1000! has 2568 digits; the polygamma
-# family prints (q/n)**(i+1), at most 1000**171 (514 digits), and 170 is
-# also the highest order the polygamma evaluator takes.
+# family prints (q/n)**(i+1) with i at most cotderiv.MAX_EVAL_ORDER, the
+# highest order the polygamma evaluator takes, so at most 514 digits.
 MAX_GAMMA_FACTORIAL = 1000
-MAX_LIMIT_ORDER = 170
 MAX_LIMIT_SCALE = 1000
 
 _FAMILIES = {
@@ -104,6 +106,43 @@ def _emit(text: str, output: str | None) -> None:
             handle.write("\n")
 
 
+def _fraction_json(value) -> dict:
+    """An exact rational as decimal-string numerator and denominator."""
+    return {"numerator": str(value.numerator), "denominator": str(value.denominator)}
+
+
+def _spec_json(spec: limits.LimitSpec) -> dict:
+    return {
+        "family": spec.family,
+        "i": spec.derivative_order,
+        "n": spec.numerator_scale,
+        "q": spec.denominator_scale,
+        "k": spec.pole_index,
+    }
+
+
+def _probe_csv(report: limits.ProbeReport) -> str:
+    spec = report.spec
+    prefix = (
+        f"{spec.family},{spec.derivative_order},{spec.numerator_scale},"
+        f"{spec.denominator_scale},{spec.pole_index}"
+    )
+    lines = ["family,i,n,q,k,eps,sample"]
+    lines += [
+        f"{prefix},{eps!r},{sample!r}"
+        for eps, sample in zip(report.epsilons, report.samples)
+    ]
+    lines.append(
+        "family,i,n,q,k,extrapolated,target_num,target_den,abs_error,converged"
+    )
+    lines.append(
+        f"{prefix},{report.extrapolated!r},{report.target.numerator},"
+        f"{report.target.denominator},{report.abs_error!r},"
+        f"{'true' if report.converged else 'false'}"
+    )
+    return "\n".join(lines)
+
+
 def _run_coeffs(args) -> int:
     # Written one order at a time: the whole table grows as about P**3.
     expansions = cotderiv.expansions_up_to(args.order)
@@ -113,7 +152,14 @@ def _run_coeffs(args) -> int:
             # element's lines indented two more spaces.
             separator = "[\n"
             for e in expansions:
-                element = json.dumps(e.to_json_dict(), indent=2)
+                element = json.dumps(
+                    {
+                        "order": e.order,
+                        "sin_exponent": e.sin_exponent,
+                        "harmonics": [[j, str(b)] for j, b in e.harmonics],
+                    },
+                    indent=2,
+                )
                 handle.write(separator + "  " + element.replace("\n", "\n  "))
                 separator = ",\n"
             handle.write("\n]\n")
@@ -144,7 +190,16 @@ def _run_eval_cot(args) -> int:
 def _run_polygamma(args) -> int:
     result = polygamma(args.order, args.x)
     if args.fmt == "json":
-        text = json.dumps(result.to_json_dict(), indent=2)
+        text = json.dumps(
+            {
+                "order": result.order,
+                "x": result.argument,
+                "value": result.value,
+                "method": result.method,
+                "shift_count": result.shift_count,
+            },
+            indent=2,
+        )
     else:
         text = (
             "order,x,value,method,shift_count\n"
@@ -166,24 +221,30 @@ def _run_limit(args) -> int:
     if args.probe:
         report = limits.probe_limit(spec)
         if args.fmt == "json":
-            text = json.dumps(report.to_json_dict(), indent=2)
-        else:
-            text = "\n".join(report.to_csv_lines())
-    else:
-        target = spec.target()
-        if args.fmt == "json":
             text = json.dumps(
                 {
-                    "spec": spec.to_json_dict(),
-                    "value": {
-                        "numerator": str(target.numerator),
-                        "denominator": str(target.denominator),
-                    },
+                    "spec": _spec_json(spec),
+                    "epsilons": list(report.epsilons),
+                    "samples": list(report.samples),
+                    "extrapolated": report.extrapolated,
+                    "target": _fraction_json(report.target),
+                    "abs_error": report.abs_error,
+                    "converged": report.converged,
                 },
                 indent=2,
             )
         else:
-            text = limits.format_rational(target)
+            text = _probe_csv(report)
+    else:
+        target = spec.target()
+        if args.fmt == "json":
+            text = json.dumps(
+                {"spec": _spec_json(spec), "value": _fraction_json(target)},
+                indent=2,
+            )
+        else:
+            # 'p/q', or 'p' for an integer.
+            text = str(target)
     _emit(text, args.output)
     return 0
 
@@ -239,9 +300,9 @@ def _cap_violation(args) -> str | None:
                 f"{MAX_GAMMA_FACTORIAL} for the gamma family, got "
                 f"{scale} * {args.k}"
             )
-    elif args.i > MAX_LIMIT_ORDER:
+    elif args.i > cotderiv.MAX_EVAL_ORDER:
         return (
-            f"argument --i: at most {MAX_LIMIT_ORDER} for the polygamma "
+            f"argument --i: at most {cotderiv.MAX_EVAL_ORDER} for the polygamma "
             f"family, got {args.i}"
         )
     elif scale > MAX_LIMIT_SCALE:

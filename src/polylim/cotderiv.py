@@ -38,8 +38,9 @@ from .errors import (
 # derivatives; callers that need closer approaches use the probe machinery.
 POLE_GUARD = 1e-12
 
-# Above this order the integer coefficients exceed double range; exact
-# generation still works, float evaluation does not.
+# Highest order of every double-precision evaluation, polygamma's included:
+# above it the integer coefficients and order! (171! > 1.8e308) exceed double
+# range.  Exact generation still works, float evaluation does not.
 MAX_EVAL_ORDER = 170
 
 
@@ -68,21 +69,6 @@ class CotDerivExpansion(
 
     def coefficient_sum(self) -> int:
         return sum(b for _, b in self.harmonics)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "sin_exponent": self.sin_exponent,
-            "harmonics": [[j, str(b)] for j, b in self.harmonics],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "CotDerivExpansion":
-        return cls(
-            order=int(obj["order"]),
-            sin_exponent=int(obj["sin_exponent"]),
-            harmonics=tuple((int(j), int(b)) for j, b in obj["harmonics"]),
-        )
 
 
 class CotPolynomial(namedtuple("CotPolynomial", "coefficients")):
@@ -278,16 +264,13 @@ def eval_cot_deriv_pi(order: int, z: float) -> float:
     if order == 0:
         # cot has period pi, so the integer part drops out entirely.
         return math.cos(math.pi * d) / s
+    # Shifting by m multiplies cos(j*pi*z) by (-1)**(j*m) and
+    # sin(pi*z)**(order+1) by (-1)**(m*(order+1)).  Every multiplier j has the
+    # parity of order + 1, so the two signs cancel and only d enters.
     num = 0.0
     for j, b in expansion(order).harmonics:
-        c = math.cos(math.pi * (j * d))
-        if (j * m) % 2:
-            c = -c
-        num += b * c
-    denom = s ** (order + 1)
-    if (m * (order + 1)) % 2:
-        denom = -denom
-    return _checked_quotient(num, denom, order, f"pi*{z}")
+        num += b * math.cos(math.pi * (j * d))
+    return _checked_quotient(num, s ** (order + 1), order, f"pi*{z}")
 
 
 @lru_cache(maxsize=None)

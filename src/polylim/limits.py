@@ -31,20 +31,6 @@ DEFAULT_EPS0 = 0.05
 DEFAULT_LEVELS = 8
 DEFAULT_TOLERANCE = 1e-5
 
-SAMPLE_CSV_HEADER = "family,i,n,q,k,eps,sample"
-SUMMARY_CSV_HEADER = "family,i,n,q,k,extrapolated,target_num,target_den,abs_error,converged"
-
-
-def format_rational(value: Fraction) -> str:
-    """Render a rational as 'p/q', or just 'p' for integers."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
 
 def gamma_ratio_limit(
     numerator_scale: int, denominator_scale: int, pole_index: int
@@ -140,31 +126,6 @@ class LimitSpec(
             self.derivative_order, self.numerator_scale, self.denominator_scale
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "i": self.derivative_order,
-            "n": self.numerator_scale,
-            "q": self.denominator_scale,
-            "k": self.pole_index,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "LimitSpec":
-        return cls(
-            family=str(obj["family"]),
-            numerator_scale=int(obj["n"]),
-            denominator_scale=int(obj["q"]),
-            pole_index=int(obj["k"]),
-            derivative_order=int(obj["i"]),
-        )
-
-    def _csv_prefix(self) -> str:
-        return (
-            f"{self.family},{self.derivative_order},{self.numerator_scale},"
-            f"{self.denominator_scale},{self.pole_index}"
-        )
-
 
 class ProbeReport(
     namedtuple(
@@ -175,50 +136,6 @@ class ProbeReport(
     """Samples of a pole ratio on an epsilon grid plus the extrapolation."""
 
     __slots__ = ()
-
-    def to_csv_lines(self, header: bool = True) -> list[str]:
-        lines = []
-        if header:
-            lines.append(SAMPLE_CSV_HEADER)
-        prefix = self.spec._csv_prefix()
-        for eps, sample in zip(self.epsilons, self.samples):
-            lines.append(f"{prefix},{eps!r},{sample!r}")
-        if header:
-            lines.append(SUMMARY_CSV_HEADER)
-        lines.append(
-            f"{prefix},{self.extrapolated!r},{self.target.numerator},"
-            f"{self.target.denominator},{self.abs_error!r},"
-            f"{'true' if self.converged else 'false'}"
-        )
-        return lines
-
-    def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_json_dict(),
-            "epsilons": list(self.epsilons),
-            "samples": list(self.samples),
-            "extrapolated": self.extrapolated,
-            "target": {
-                "numerator": str(self.target.numerator),
-                "denominator": str(self.target.denominator),
-            },
-            "abs_error": self.abs_error,
-            "converged": self.converged,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "ProbeReport":
-        return cls(
-            spec=LimitSpec.from_json_dict(obj["spec"]),
-            epsilons=tuple(float(e) for e in obj["epsilons"]),
-            samples=tuple(float(s) for s in obj["samples"]),
-            extrapolated=float(obj["extrapolated"]),
-            target=Fraction(
-                int(obj["target"]["numerator"]), int(obj["target"]["denominator"])
-            ),
-            abs_error=float(obj["abs_error"]),
-            converged=bool(obj["converged"]),
-        )
 
 
 def neville_extrapolate(xs: tuple[float, ...], ys: tuple[float, ...]) -> float:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._kernels import shifted_power_sum
-from .cotderiv import eval_cot_deriv_pi
+from .cotderiv import _eval_order, eval_cot_deriv_pi
 from .errors import DomainError, PoleError, TableCapacityError, as_index
 
 # Shift target for the recurrence region; arguments at or above this go
@@ -29,13 +29,11 @@ SHIFT_TARGET = 10.0
 # Arguments closer than this to a non-positive integer are rejected.
 POLE_PROXIMITY = 1e-12
 
-# (order-1)! must stay below double-precision overflow.
-MAX_ORDER = 170
-
 # Stop the asymptotic series at the first term below this relative size.
 _SERIES_EPS = 1e-17
 
-DEFAULT_BERNOULLI_SIZE = 60
+# B0 .. B60: the table behind `bernoulli` and the asymptotic series.
+BERNOULLI_SIZE = 60
 
 METHOD_ASYMPTOTIC = "asymptotic"
 METHOD_SHIFTED = "shifted-asymptotic"
@@ -53,25 +51,6 @@ class PolygammaResult(
     """
 
     __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "x": self.argument,
-            "value": self.value,
-            "method": self.method,
-            "shift_count": self.shift_count,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "PolygammaResult":
-        return cls(
-            order=int(obj["order"]),
-            argument=float(obj["x"]),
-            value=float(obj["value"]),
-            method=str(obj["method"]),
-            shift_count=int(obj["shift_count"]),
-        )
 
 
 class BernoulliTable(namedtuple("BernoulliTable", "values")):
@@ -112,25 +91,25 @@ class BernoulliTable(namedtuple("BernoulliTable", "values")):
 
 
 @lru_cache(maxsize=None)
-def _table(size: int) -> BernoulliTable:
-    return BernoulliTable.build(size)
+def _table() -> BernoulliTable:
+    return BernoulliTable.build(BERNOULLI_SIZE)
 
 
-def bernoulli(index: int, table_size: int = DEFAULT_BERNOULLI_SIZE) -> Fraction:
+def bernoulli(index: int) -> Fraction:
     """Exact Bernoulli number B_index under the B1 = -1/2 convention."""
     index = as_index(index, "index")
     if index < 0:
         raise DomainError(f"index must be >= 0, got {index}")
-    if index > table_size:
+    if index > BERNOULLI_SIZE:
         raise TableCapacityError(
-            f"index {index} exceeds the configured table size {table_size}"
+            f"index {index} exceeds the configured table size {BERNOULLI_SIZE}"
         )
-    return _table(table_size).values[index]
+    return _table().values[index]
 
 
 @lru_cache(maxsize=None)
 def _bernoulli_floats() -> tuple[float, ...]:
-    return tuple(float(b) for b in _table(DEFAULT_BERNOULLI_SIZE).values)
+    return tuple(float(b) for b in _table().values)
 
 
 def _asymptotic(order: int, x: float) -> float:
@@ -185,6 +164,14 @@ def _positive(order: int, x: float) -> tuple[float, int]:
     return value, shifts
 
 
+def _order(order) -> int:
+    """Validate a polygamma order; return it as an int."""
+    order = as_index(order, "order")
+    if order < 0:
+        raise DomainError(f"order must be >= 0, got {order}")
+    return _eval_order(order)
+
+
 def _out_of_range(order: int, x: float) -> DomainError:
     return DomainError(
         f"polygamma of order {order} at x={x} exceeds double precision range"
@@ -193,13 +180,7 @@ def _out_of_range(order: int, x: float) -> DomainError:
 
 def polygamma(order: int, x: float) -> PolygammaResult:
     """Evaluate the order-th polygamma at real x with path bookkeeping."""
-    order = as_index(order, "order")
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
-    if order > MAX_ORDER:
-        raise DomainError(
-            f"order {order} exceeds double precision range (max {MAX_ORDER})"
-        )
+    order = _order(order)
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x}")
     try:
@@ -243,16 +224,12 @@ def polygamma_series_oracle(order: int, x: float, terms: int) -> float:
     with the evaluation paths.  Intended as an independent check, not for
     production use.
     """
-    order = as_index(order, "order")
-    if order < 1:
+    if as_index(order, "order") < 1:
         raise DomainError(
             "series oracle requires order >= 1 (the digamma check uses the "
             "harmonic construction instead)"
         )
-    if order > MAX_ORDER:
-        raise DomainError(
-            f"order {order} exceeds double precision range (max {MAX_ORDER})"
-        )
+    order = _order(order)
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"argument must be positive and finite, got {x}")
     terms = as_index(terms, "terms")
@@ -280,13 +257,7 @@ def reflection_residual(order: int, z: float) -> float:
     only, never through reflection, so a small residual genuinely verifies
     the identity.
     """
-    order = as_index(order, "order")
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
-    if order > MAX_ORDER:
-        raise DomainError(
-            f"order {order} exceeds double precision range (max {MAX_ORDER})"
-        )
+    order = _order(order)
     if not (0.0 < z < 1.0):
         raise DomainError(f"z must lie strictly inside (0, 1), got {z}")
     left = _positive(order, 1.0 - z)[0]

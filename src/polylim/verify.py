@@ -323,7 +323,7 @@ def _gamma_probe_reports() -> list[limits.ProbeReport]:
 
 def _check_probe_grid(name: str, reports: list[limits.ProbeReport]) -> CheckResult:
     failures = [
-        f"{r.spec.to_json_dict()}: error {r.abs_error}"
+        f"{r.spec}: error {r.abs_error}"
         for r in reports
         if not r.converged
     ]
@@ -357,7 +357,7 @@ def _check_monotone_improvement(reports: list[limits.ProbeReport]) -> CheckResul
         # grant it the double-precision amplification allowance.
         noise = 1e-11 * (1.0 + abs(float(r.target)))
         if r.abs_error > raw + noise:
-            failures.append(f"{r.spec.to_json_dict()}: {r.abs_error} > raw {raw}")
+            failures.append(f"{r.spec}: {r.abs_error} > raw {raw}")
     return _result("monotone-improvement", failures, "extrapolation beats last sample")
 
 

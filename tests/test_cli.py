@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from polylim import (
-    CotDerivExpansion,
+    FAMILY_POLYGAMMA,
     LimitSpec,
-    PolygammaResult,
-    ProbeReport,
     expansion,
+    polygamma,
+    probe_limit,
 )
 from polylim.cli import MAX_COEFF_ORDER, main
 
@@ -29,6 +29,22 @@ GOLDEN_COEFFS_ORDER1_JSON = """\
 ]
 """
 
+GOLDEN_POLYGAMMA_LIMIT_JSON = """\
+{
+  "spec": {
+    "family": "polygamma-ratio",
+    "i": 2,
+    "n": 3,
+    "q": 2,
+    "k": 1
+  },
+  "value": {
+    "numerator": "8",
+    "denominator": "27"
+  }
+}
+"""
+
 
 def run_cli(*args, env=None):
     return subprocess.run(
@@ -45,6 +61,22 @@ def run_main(capsys, *args):
     return code, captured.out, captured.err
 
 
+def ordered(text):
+    """Parsed JSON with every object as its list of (key, value) pairs."""
+    return json.loads(text, object_pairs_hook=list)
+
+
+def fraction_pairs(value):
+    return [("numerator", str(value.numerator)),
+            ("denominator", str(value.denominator))]
+
+
+def spec_pairs(spec):
+    return [("family", spec.family), ("i", spec.derivative_order),
+            ("n", spec.numerator_scale), ("q", spec.denominator_scale),
+            ("k", spec.pole_index)]
+
+
 class TestGoldenInvocations:
     def test_polygamma_limit_prints_quarter(self):
         cp = run_cli("limit", "--family", "polygamma", "--i", "1", "--n", "2",
@@ -56,6 +88,12 @@ class TestGoldenInvocations:
         cp = run_cli("coeffs", "--order", "1", "--format", "json")
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout == GOLDEN_COEFFS_ORDER1_JSON
+
+    def test_polygamma_limit_json(self):
+        cp = run_cli("limit", "--family", "polygamma", "--i", "2", "--n", "3",
+                     "--q", "2", "--k", "1", "--format", "json")
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout == GOLDEN_POLYGAMMA_LIMIT_JSON
 
     def test_gamma_limit_equal_scales(self):
         cp = run_cli("limit", "--family", "gamma", "--n", "3", "--q", "3",
@@ -93,11 +131,15 @@ class TestCoeffs:
         code, out, _ = run_main(capsys, "coeffs", "--order", "7", "--format",
                                 "json")
         assert code == 0
-        parsed = json.loads(out)
+        parsed = ordered(out)
         assert len(parsed) == 7
-        for obj in parsed:
-            e = CotDerivExpansion.from_json_dict(obj)
-            assert e == expansion(e.order)
+        for order, obj in enumerate(parsed, start=1):
+            e = expansion(order)
+            assert obj == [
+                ("order", e.order),
+                ("sin_exponent", e.sin_exponent),
+                ("harmonics", [[j, str(b)] for j, b in e.harmonics]),
+            ]
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"
@@ -157,9 +199,15 @@ class TestPolygammaCommand:
         code, out, _ = run_main(capsys, "polygamma", "--order", "2", "--x",
                                 "-3.25", "--format", "json")
         assert code == 0
-        res = PolygammaResult.from_json_dict(json.loads(out))
-        assert res.order == 2
+        res = polygamma(2, -3.25)
         assert res.method == "reflection"
+        assert ordered(out) == [
+            ("order", res.order),
+            ("x", res.argument),
+            ("value", res.value),
+            ("method", res.method),
+            ("shift_count", res.shift_count),
+        ]
 
     def test_pole_exit_code(self, capsys):
         code, _, err = run_main(capsys, "polygamma", "--order", "1", "--x",
@@ -181,14 +229,13 @@ class TestLimitCommand:
                                 "--i", "2", "--n", "3", "--q", "2", "--k", "1",
                                 "--format", "json")
         assert code == 0
-        obj = json.loads(out)
-        spec = LimitSpec.from_json_dict(obj["spec"])
-        assert spec.derivative_order == 2
-        value = Fraction(
-            int(obj["value"]["numerator"]), int(obj["value"]["denominator"])
-        )
-        assert value == Fraction(8, 27)
-        assert value == spec.target()
+        spec = LimitSpec(FAMILY_POLYGAMMA, 3, 2, pole_index=1,
+                         derivative_order=2)
+        assert spec.target() == Fraction(8, 27)
+        assert ordered(out) == [
+            ("spec", spec_pairs(spec)),
+            ("value", fraction_pairs(spec.target())),
+        ]
 
     def test_probe_csv(self, capsys):
         code, out, _ = run_main(capsys, "limit", "--family", "gamma", "--n",
@@ -197,16 +244,36 @@ class TestLimitCommand:
         lines = out.splitlines()
         assert lines[0] == "family,i,n,q,k,eps,sample"
         assert len(lines) == 1 + 8 + 2
-        assert lines[-1].endswith("true")
+        sample_fields = lines[1].split(",")
+        assert len(sample_fields) == 7
+        assert sample_fields[:5] == ["gamma-ratio", "0", "2", "1", "1"]
+        assert lines[9] == (
+            "family,i,n,q,k,extrapolated,target_num,target_den,abs_error,"
+            "converged"
+        )
+        summary = lines[-1].split(",")
+        assert len(summary) == 10
+        assert summary[6:8] == ["-1", "4"]
+        assert summary[-1] == "true"
 
     def test_probe_json_round_trips(self, capsys):
         code, out, _ = run_main(capsys, "limit", "--family", "polygamma",
                                 "--i", "1", "--n", "2", "--q", "1", "--k", "0",
                                 "--probe", "--format", "json")
         assert code == 0
-        report = ProbeReport.from_json_dict(json.loads(out))
+        report = probe_limit(LimitSpec(FAMILY_POLYGAMMA, 2, 1, pole_index=0,
+                                       derivative_order=1))
         assert report.converged
         assert report.target == Fraction(1, 4)
+        assert ordered(out) == [
+            ("spec", spec_pairs(report.spec)),
+            ("epsilons", list(report.epsilons)),
+            ("samples", list(report.samples)),
+            ("extrapolated", report.extrapolated),
+            ("target", fraction_pairs(report.target)),
+            ("abs_error", report.abs_error),
+            ("converged", report.converged),
+        ]
 
     @pytest.mark.parametrize(
         "args, code",
@@ -253,6 +320,18 @@ class TestLimitCommand:
                                 "2", "--q", "1", "--k", "1")
         assert code == 0
         assert out == "-1/4\n"
+
+    def test_exact_value_formatting(self, capsys):
+        # 'p/q' in lowest terms, or just 'p' for an integer.
+        cases = [
+            (("gamma", "--n", "1", "--q", "2", "--k", "1"), "-4"),
+            (("gamma", "--n", "1", "--q", "2", "--k", "2"), "24"),
+            (("polygamma", "--i", "2", "--n", "3", "--q", "2"), "8/27"),
+        ]
+        for args, text in cases:
+            code, out, _ = run_main(capsys, "limit", "--family", *args)
+            assert code == 0
+            assert out == text + "\n"
 
 
 class TestVerifyCommand:

@@ -120,10 +120,6 @@ class TestExpansion:
             assert multipliers == list(range(0 if p % 2 else 1, p, 2))
             assert len(multipliers) == (p + 1) // 2
 
-    def test_json_round_trip(self):
-        e = expansion(9)
-        assert CotDerivExpansion.from_json_dict(e.to_json_dict()) == e
-
     def test_recurrence_tables_match_piecewise_formula(self):
         for p in range(1, 61):
             start = 0 if p % 2 else 1
@@ -189,13 +185,18 @@ class TestEvalCotDeriv:
                 assert a == pytest.approx(b, rel=1e-10), (p, z)
 
     def test_pi_scaled_variant_periodicity(self):
-        # Shifting by whole turns must not change the value at all.
-        for p in range(0, 7):
-            base = eval_cot_deriv_pi(p, 0.23)
-            for shift in (-3, -1, 2, 5):
-                assert eval_cot_deriv_pi(p, 0.23 + shift) == pytest.approx(
-                    base, rel=1e-13
-                )
+        # Shifting by whole turns must not change the value at all: with a
+        # dyadic offset d every m + d is exact, so the results must be equal.
+        shifts = (-(2**40) - 1, -3, -2, -1, 1, 2, 5, 2**40)
+        for p in range(cotderiv.MAX_EVAL_ORDER + 1):
+            for k in (-511, -300, -7, 1, 93, 256, 511):
+                d = k / 1024
+                try:
+                    base = eval_cot_deriv_pi(p, d)
+                except DomainError:
+                    continue
+                for shift in shifts:
+                    assert eval_cot_deriv_pi(p, shift + d) == base, (p, d, shift)
 
     def test_bool_order_rejected(self):
         with pytest.raises(DomainError):

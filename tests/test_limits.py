@@ -11,14 +11,12 @@ from polylim import (
     DomainError,
     LimitSpec,
     ProbeFailureError,
-    ProbeReport,
     gamma_laurent_leading,
     gamma_ratio_limit,
     neville_extrapolate,
     polygamma_ratio_limit,
     probe_limit,
 )
-from polylim.limits import format_rational, parse_rational
 
 
 def spec_for(family, n, q, k=0, i=0):
@@ -202,36 +200,6 @@ class TestProbeLimit:
         )
         with pytest.raises(AttributeError):
             spec.pole_index = 1
-
-
-class TestSerialization:
-    def test_rational_formatting(self):
-        assert format_rational(Fraction(1, 4)) == "1/4"
-        assert format_rational(Fraction(-1, 4)) == "-1/4"
-        assert format_rational(Fraction(5, 1)) == "5"
-        assert parse_rational("-7/3") == Fraction(-7, 3)
-
-    def test_limit_spec_round_trip(self):
-        spec = spec_for(FAMILY_POLYGAMMA, 3, 2, k=1, i=4)
-        assert LimitSpec.from_json_dict(spec.to_json_dict()) == spec
-
-    def test_report_json_round_trip(self):
-        report = probe_limit(spec_for(FAMILY_GAMMA, 3, 2, k=2))
-        assert ProbeReport.from_json_dict(report.to_json_dict()) == report
-
-    def test_report_csv_shape(self):
-        report = probe_limit(spec_for(FAMILY_GAMMA, 2, 1, k=0), levels=4)
-        lines = report.to_csv_lines()
-        assert lines[0] == "family,i,n,q,k,eps,sample"
-        assert len(lines) == 1 + 4 + 2
-        assert lines[5].startswith("family,i,n,q,k,extrapolated")
-        sample_fields = lines[1].split(",")
-        assert sample_fields[0] == "gamma-ratio"
-        assert len(sample_fields) == 7
-        summary = lines[-1].split(",")
-        assert summary[-1] in ("true", "false")
-        assert summary[6] == "1"
-        assert summary[7] == "2"
 
 
 @settings(max_examples=80, deadline=None)

@@ -10,7 +10,6 @@ from polylim import (
     BernoulliTable,
     DomainError,
     PoleError,
-    PolygammaResult,
     TableCapacityError,
     bernoulli,
     eval_cot_deriv_pi,
@@ -189,10 +188,6 @@ class TestPolygammaBookkeeping:
                 assert (res.method == METHOD_REFLECTION) == (x < 0.5), (n, x)
                 if res.method == METHOD_ASYMPTOTIC:
                     assert res.shift_count == 0
-
-    def test_json_round_trip(self):
-        res = polygamma(4, -2.25)
-        assert PolygammaResult.from_json_dict(res.to_json_dict()) == res
 
 
 class TestPolygammaErrors:

@@ -1,0 +1,11 @@
+import doctest
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_hold():
+    # The Library section's examples are doctests; keep them true.
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.attempted > 0
+    assert result.failed == 0
