@@ -17,6 +17,7 @@ from polylim import (
     polygamma_ratio_limit,
     probe_limit,
 )
+from polylim.cli import _probe_csv as probe_csv
 
 
 def spec_for(family, n, q, k=0, i=0):
@@ -200,6 +201,24 @@ class TestProbeLimit:
         )
         with pytest.raises(AttributeError):
             spec.pole_index = 1
+
+
+class TestSerialization:
+    def test_report_csv_shape(self):
+        # The CSV layout is owned by the CLI; render a probe of a chosen
+        # depth through it.
+        report = probe_limit(spec_for(FAMILY_GAMMA, 2, 1, k=0), levels=4)
+        lines = probe_csv(report).splitlines()
+        assert lines[0] == "family,i,n,q,k,eps,sample"
+        assert len(lines) == 1 + 4 + 2
+        assert lines[5].startswith("family,i,n,q,k,extrapolated")
+        sample_fields = lines[1].split(",")
+        assert sample_fields[0] == "gamma-ratio"
+        assert len(sample_fields) == 7
+        summary = lines[-1].split(",")
+        assert summary[-1] in ("true", "false")
+        assert summary[6] == "1"
+        assert summary[7] == "2"
 
 
 @settings(max_examples=80, deadline=None)
