@@ -12,14 +12,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 from . import cotderiv, limits, verify
 from .errors import PolylimError
 from .polygamma import polygamma
-
-PRECISION_ENV = "POLYLIM_PRECISION_TERMS"
 
 # Largest order `coeffs` builds tables for.  Its biggest coefficient has 2567
 # digits, below Python's 4300-digit limit on int-to-str conversion.
@@ -249,25 +246,8 @@ def _run_limit(args) -> int:
     return 0
 
 
-def _oracle_terms_from_env() -> int:
-    raw = os.environ.get(PRECISION_ENV)
-    if raw is None:
-        return verify.DEFAULT_ORACLE_TERMS
-    try:
-        terms = int(raw)
-        if terms < 1:
-            raise ValueError
-    except ValueError:
-        print(
-            f"polylim: {PRECISION_ENV} must be a positive integer, got {raw!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2) from None
-    return terms
-
-
 def _run_verify(args) -> int:
-    results = verify.run_suite(args.suite, oracle_terms=_oracle_terms_from_env())
+    results = verify.run_suite(args.suite)
     lines = [
         f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.detail})" for r in results
     ]

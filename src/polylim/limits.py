@@ -3,9 +3,9 @@
 The gamma ratio Gamma(n*z)/Gamma(q*z) and the polygamma ratios
 psi^(i)(n*z)/psi^(i)(q*z) approach exact rational values as z approaches a
 non-positive integer -k.  This module computes those rationals in exact
-arithmetic and, independently, samples each ratio on a geometric grid
-z = -k + eps0 * 2**-j and extrapolates the samples to eps = 0 with Neville's
-algorithm.  The extrapolation is justified because numerator and denominator
+arithmetic and, independently, samples each ratio on the fixed geometric
+grid z = -k + EPS0 * 2**-j and extrapolates the samples to eps = 0 with
+Neville's algorithm.  The extrapolation is justified because numerator and denominator
 carry poles of equal order, making the ratio analytic in eps at 0.
 """
 from __future__ import annotations
@@ -14,22 +14,19 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+from .cotderiv import POLE_GUARD
 from .errors import DomainError, PoleError, ProbeFailureError, as_index
 from .polygamma import polygamma
 
 FAMILY_GAMMA = "gamma-ratio"
 FAMILY_POLYGAMMA = "polygamma-ratio"
 
-# Samples closer to the pole than this are dominated by double-precision
-# cancellation; the probe refuses to go below it.
-MIN_EPSILON = 1e-5
-
-MAX_LEVELS = 12
-MAX_EPS0 = 0.1
-
-DEFAULT_EPS0 = 0.05
-DEFAULT_LEVELS = 8
-DEFAULT_TOLERANCE = 1e-5
+# The probe grid z = -k + EPS0 * 2**-j, j = 0 .. LEVELS-1: its finest step,
+# 3.9e-4, stays well above the double-precision cancellation near the pole.
+EPS0 = 0.05
+LEVELS = 8
+# A probe converges when its extrapolation lies within this of the target.
+TOLERANCE = 1e-5
 
 
 def gamma_ratio_limit(
@@ -102,6 +99,10 @@ class LimitSpec(
     ):
         if family not in (FAMILY_GAMMA, FAMILY_POLYGAMMA):
             raise DomainError(f"unknown limit family: {family!r}")
+        numerator_scale = as_index(numerator_scale, "numerator_scale")
+        denominator_scale = as_index(denominator_scale, "denominator_scale")
+        pole_index = as_index(pole_index, "pole_index")
+        derivative_order = as_index(derivative_order, "derivative_order")
         if numerator_scale < 1 or denominator_scale < 1:
             raise DomainError("scales must be >= 1")
         if pole_index < 0:
@@ -169,7 +170,7 @@ def _log_abs_gamma_at(scale: int, pole_index: int, eps: float) -> tuple[float, i
             raise PoleError(f"gamma argument {arg} on a pole", location=0)
         return math.lgamma(arg), 1
     s = math.sin(math.pi * delta)
-    if abs(s) < 1e-12:
+    if abs(s) < POLE_GUARD:
         raise PoleError(
             f"gamma argument within pole guard near {-whole_pole}",
             location=-whole_pole,
@@ -191,30 +192,12 @@ def _polygamma_ratio_sample(spec: LimitSpec, eps: float) -> float:
     return polygamma(i, num_arg).value / polygamma(i, den_arg).value
 
 
-def probe_limit(
-    spec: LimitSpec,
-    eps0: float = DEFAULT_EPS0,
-    levels: int = DEFAULT_LEVELS,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> ProbeReport:
-    """Sample the ratio at z = -k + eps0 * 2**-j and extrapolate to the pole."""
-    levels = as_index(levels, "levels")
-    if not (0.0 < eps0 <= MAX_EPS0):
-        raise DomainError(f"eps0 must lie in (0, {MAX_EPS0}], got {eps0}")
-    if not (1 <= levels <= MAX_LEVELS):
-        raise DomainError(f"levels must lie in 1..{MAX_LEVELS}, got {levels}")
-    if eps0 * 2.0 ** (-(levels - 1)) < MIN_EPSILON:
-        raise DomainError(
-            f"finest epsilon {eps0 * 2.0 ** (-(levels - 1))} below the "
-            f"double-precision floor {MIN_EPSILON}"
-        )
-    if not tolerance > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tolerance}")
-
+def probe_limit(spec: LimitSpec) -> ProbeReport:
+    """Sample the ratio at z = -k + EPS0 * 2**-j and extrapolate to the pole."""
     sampler = (
         _gamma_ratio_sample if spec.family == FAMILY_GAMMA else _polygamma_ratio_sample
     )
-    epsilons = tuple(eps0 * 2.0**-j for j in range(levels))
+    epsilons = tuple(EPS0 * 2.0**-j for j in range(LEVELS))
     samples = []
     for eps in epsilons:
         try:
@@ -240,5 +223,5 @@ def probe_limit(
         extrapolated=extrapolated,
         target=target,
         abs_error=abs_error,
-        converged=abs_error <= tolerance,
+        converged=abs_error <= TOLERANCE,
     )

@@ -35,6 +35,9 @@ _SERIES_EPS = 1e-17
 # B0 .. B60: the table behind `bernoulli` and the asymptotic series.
 BERNOULLI_SIZE = 60
 
+# Summands the series oracle adds before its Euler-Maclaurin remainder.
+ORACLE_TERMS = 1000
+
 METHOD_ASYMPTOTIC = "asymptotic"
 METHOD_SHIFTED = "shifted-asymptotic"
 METHOD_REFLECTION = "reflection"
@@ -208,17 +211,17 @@ def polygamma(order: int, x: float) -> PolygammaResult:
     return PolygammaResult(order, x, value, method, shifts)
 
 
-def polygamma_series_oracle(order: int, x: float, terms: int) -> float:
+def polygamma_series_oracle(order: int, x: float) -> float:
     """Direct series evaluation of the order-th polygamma for x > 0.
 
     Partial sum of (-1)^(order+1) * order! * sum_k (x+k)^-(order+1) over
-    terms summands, plus the Euler-Maclaurin remainder (DLMF 2.10.1) of the
-    rest of the series: with a = x + terms and s = order + 1,
+    ORACLE_TERMS summands, plus the Euler-Maclaurin remainder (DLMF 2.10.1)
+    of the rest of the series: with a = x + ORACLE_TERMS and s = order + 1,
 
         a^-order/order + a^-s/2 + s a^-(s+1)/12 - s(s+1)(s+2) a^-(s+3)/720.
 
     The first omitted correction is smaller than the tail by about
-    (s/a)^6 / 30240, so from a thousand terms on the result is accurate to a
+    (s/a)^6 / 30240, so with ORACLE_TERMS = 1000 the result is accurate to a
     few ulp wherever the terms stay inside double range.  The Bernoulli
     coefficients 1/12 and 1/720 are written out so that no code is shared
     with the evaluation paths.  Intended as an independent check, not for
@@ -232,12 +235,9 @@ def polygamma_series_oracle(order: int, x: float, terms: int) -> float:
     order = _order(order)
     if not (math.isfinite(x) and x > 0):
         raise DomainError(f"argument must be positive and finite, got {x}")
-    terms = as_index(terms, "terms")
-    if terms < 1:
-        raise DomainError(f"terms must be >= 1, got {terms}")
     s = order + 1
-    a = x + terms
-    body = shifted_power_sum(x, s, terms)
+    a = x + ORACLE_TERMS
+    body = shifted_power_sum(x, s, ORACLE_TERMS)
     tail = (
         a**-order / order
         + a**-s / 2.0

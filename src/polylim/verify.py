@@ -15,6 +15,7 @@ from . import cotderiv, limits
 from .polygamma import (
     METHOD_ASYMPTOTIC,
     METHOD_REFLECTION,
+    ORACLE_TERMS,
     bernoulli,
     polygamma,
     polygamma_series_oracle,
@@ -22,8 +23,6 @@ from .polygamma import (
 )
 
 SUITE_NAMES = ("coeffs", "reflection", "limits", "all")
-
-DEFAULT_ORACLE_TERMS = 1_000
 
 
 class CheckResult(namedtuple("CheckResult", "name passed detail")):
@@ -185,16 +184,16 @@ def _check_recurrence_identity() -> CheckResult:
     return _result("recurrence-identity", failures, "orders 0..8 at 100 points")
 
 
-def _check_series_oracle(oracle_terms: int) -> CheckResult:
+def _check_series_oracle() -> CheckResult:
     failures = []
     for n in range(1, 9):
         for x in (0.5, 1.0, 1.5, 2.0, 5.0, 10.0):
             fast = polygamma(n, x).value
-            slow = polygamma_series_oracle(n, x, oracle_terms)
+            slow = polygamma_series_oracle(n, x)
             if abs(fast - slow) > 1e-9 * abs(slow):
                 failures.append(f"n={n}, x={x}: {fast} vs {slow}")
     return _result(
-        "series-oracle-agreement", failures, f"orders 1..8, {oracle_terms} terms"
+        "series-oracle-agreement", failures, f"orders 1..8, {ORACLE_TERMS} terms"
     )
 
 
@@ -241,11 +240,11 @@ def _check_path_bookkeeping() -> CheckResult:
     return _result("path-bookkeeping", failures, "methods match regions")
 
 
-def reflection_suite(oracle_terms: int = DEFAULT_ORACLE_TERMS) -> list[CheckResult]:
+def reflection_suite() -> list[CheckResult]:
     return [
         _check_bernoulli(),
         _check_recurrence_identity(),
-        _check_series_oracle(oracle_terms),
+        _check_series_oracle(),
         _check_reflection_identity(),
         _check_sign_pattern(),
         _check_path_bookkeeping(),
@@ -375,13 +374,13 @@ def limits_suite() -> list[CheckResult]:
     ]
 
 
-def run_suite(name: str, oracle_terms: int = DEFAULT_ORACLE_TERMS) -> list[CheckResult]:
+def run_suite(name: str) -> list[CheckResult]:
     if name == "coeffs":
         return coeffs_suite()
     if name == "reflection":
-        return reflection_suite(oracle_terms)
+        return reflection_suite()
     if name == "limits":
         return limits_suite()
     if name == "all":
-        return coeffs_suite() + reflection_suite(oracle_terms) + limits_suite()
+        return coeffs_suite() + reflection_suite() + limits_suite()
     raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")

@@ -25,7 +25,8 @@ from polylim import (
     probe_limit,
     reflection_residual,
 )
-from polylim.verify import DEFAULT_ORACLE_TERMS
+from polylim.limits import EPS0, LEVELS, TOLERANCE
+from polylim.polygamma import ORACLE_TERMS
 
 GOLDEN_COEFFS_ORDER1_JSON = """\
 [
@@ -106,10 +107,11 @@ def test_04_reflection_identity():
 
 
 def test_05_polygamma_accuracy():
+    assert ORACLE_TERMS == 1000
     for n in range(1, 9):
         for x in (0.5, 1.0, 1.5, 2.0, 5.0, 10.0):
             fast = polygamma(n, x).value
-            slow = polygamma_series_oracle(n, x, DEFAULT_ORACLE_TERMS)
+            slow = polygamma_series_oracle(n, x)
             assert abs(fast - slow) <= 1e-12 * abs(slow), (n, x)
     digamma_at_one = polygamma(0, 1.0).value
     assert abs(digamma_at_one - (-0.5772156649015329)) <= 1e-10
@@ -118,6 +120,7 @@ def test_05_polygamma_accuracy():
 
 
 def test_06_polygamma_ratio_probe_grid():
+    assert (EPS0, LEVELS, TOLERANCE) == (0.05, 8, 1e-5)
     start = time.perf_counter()
     count = 0
     for i in range(0, 6):
@@ -130,7 +133,7 @@ def test_06_polygamma_ratio_probe_grid():
                     pole_index=k,
                     derivative_order=i,
                 )
-                report = probe_limit(spec, eps0=0.05, levels=8, tolerance=1e-5)
+                report = probe_limit(spec)
                 assert report.converged, (i, n, q, k, report.abs_error)
                 count += 1
     elapsed = time.perf_counter() - start
@@ -140,6 +143,7 @@ def test_06_polygamma_ratio_probe_grid():
 
 
 def test_07_gamma_ratio_probe_grid():
+    assert (EPS0, LEVELS, TOLERANCE) == (0.05, 8, 1e-5)
     for n, q in ((2, 1), (3, 1), (3, 2)):
         for k in range(0, 5):
             spec = LimitSpec(
@@ -148,7 +152,7 @@ def test_07_gamma_ratio_probe_grid():
                 denominator_scale=q,
                 pole_index=k,
             )
-            report = probe_limit(spec, eps0=0.05, levels=8, tolerance=1e-5)
+            report = probe_limit(spec)
             target = gamma_ratio_limit(n, q, k)
             assert report.converged, (n, q, k, report.abs_error)
             assert abs(report.extrapolated - float(target)) <= 1e-5

@@ -347,17 +347,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "theorem-probe-grid" in out
 
-    def test_reflection_suite_honors_precision_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("POLYLIM_PRECISION_TERMS", "200000")
-        code, out, _ = run_main(capsys, "verify", "--suite", "reflection")
-        assert code == 0
-        assert "200000 terms" in out
-
-    def test_invalid_precision_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("POLYLIM_PRECISION_TERMS", "soon")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "--suite", "reflection"])
-        assert excinfo.value.code == 2
+    def test_precision_env_has_no_effect(self, capsys, monkeypatch):
+        monkeypatch.delenv("POLYLIM_PRECISION_TERMS", raising=False)
+        unset = run_main(capsys, "verify", "--suite", "reflection")
+        assert unset[0] == 0
+        assert "1000 terms" in unset[1]
+        for value in ("200000", "soon"):
+            monkeypatch.setenv("POLYLIM_PRECISION_TERMS", value)
+            assert run_main(capsys, "verify", "--suite", "reflection") == unset
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -116,12 +116,7 @@ class TestNeville:
 
 class TestProbeLimit:
     def test_polygamma_example(self):
-        report = probe_limit(
-            spec_for(FAMILY_POLYGAMMA, 2, 1, k=0, i=1),
-            eps0=0.05,
-            levels=8,
-            tolerance=1e-6,
-        )
+        report = probe_limit(spec_for(FAMILY_POLYGAMMA, 2, 1, k=0, i=1))
         assert report.converged
         assert report.extrapolated == pytest.approx(0.25, abs=1e-6)
         assert report.target == Fraction(1, 4)
@@ -157,27 +152,12 @@ class TestProbeLimit:
         ]
         assert max(values) - min(values) <= 1e-5
 
-    def test_precondition_validation(self):
-        spec = spec_for(FAMILY_POLYGAMMA, 2, 1)
-        with pytest.raises(DomainError):
-            probe_limit(spec, eps0=0.2)
-        with pytest.raises(DomainError):
-            probe_limit(spec, eps0=-0.01)
-        with pytest.raises(DomainError):
-            probe_limit(spec, levels=13)
-        with pytest.raises(DomainError):
-            probe_limit(spec, levels=0)
-        with pytest.raises(DomainError):
-            probe_limit(spec, eps0=0.001, levels=8)
-        with pytest.raises(DomainError):
-            probe_limit(spec, tolerance=0.0)
-
     def test_probe_failure_identifies_sample(self):
-        # scale 10 at eps0=0.1 lands the first sample exactly on an integer.
-        spec = spec_for(FAMILY_POLYGAMMA, 10, 1, k=1, i=1)
+        # Scale 20 at the first step, 0.05, lands on the gamma pole at -59.
+        spec = spec_for(FAMILY_GAMMA, 20, 1, k=3)
         with pytest.raises(ProbeFailureError) as excinfo:
-            probe_limit(spec, eps0=0.1, levels=1)
-        assert excinfo.value.z == pytest.approx(-0.9)
+            probe_limit(spec)
+        assert excinfo.value.z == -2.95
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
@@ -190,6 +170,14 @@ class TestProbeLimit:
             spec_for(FAMILY_POLYGAMMA, 1, 1, i=-1)
         with pytest.raises(DomainError):
             LimitSpec(FAMILY_GAMMA, 2, -1)
+        with pytest.raises(DomainError):
+            LimitSpec(FAMILY_GAMMA, 2.5, 1)
+        with pytest.raises(DomainError):
+            LimitSpec(FAMILY_GAMMA, True, 1)
+        with pytest.raises(DomainError):
+            LimitSpec(FAMILY_GAMMA, 2, 1, pole_index=1.0)
+        with pytest.raises(DomainError):
+            LimitSpec(FAMILY_POLYGAMMA, 2, 1, derivative_order=1.5)
 
     def test_spec_is_an_immutable_record(self):
         spec = LimitSpec(FAMILY_GAMMA, 3, 2)
@@ -205,13 +193,12 @@ class TestProbeLimit:
 
 class TestSerialization:
     def test_report_csv_shape(self):
-        # The CSV layout is owned by the CLI; render a probe of a chosen
-        # depth through it.
-        report = probe_limit(spec_for(FAMILY_GAMMA, 2, 1, k=0), levels=4)
+        # The CSV layout is owned by the CLI; render a probe through it.
+        report = probe_limit(spec_for(FAMILY_GAMMA, 2, 1, k=0))
         lines = probe_csv(report).splitlines()
         assert lines[0] == "family,i,n,q,k,eps,sample"
-        assert len(lines) == 1 + 4 + 2
-        assert lines[5].startswith("family,i,n,q,k,extrapolated")
+        assert len(lines) == 1 + 8 + 2
+        assert lines[9].startswith("family,i,n,q,k,extrapolated")
         sample_fields = lines[1].split(",")
         assert sample_fields[0] == "gamma-ratio"
         assert len(sample_fields) == 7
