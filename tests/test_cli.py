@@ -347,14 +347,20 @@ class TestVerifyCommand:
         assert code == 0
         assert "theorem-probe-grid" in out
 
-    def test_precision_env_has_no_effect(self, capsys, monkeypatch):
+    @staticmethod
+    def assert_precision_env_ignored(capsys, monkeypatch, value):
         monkeypatch.delenv("POLYLIM_PRECISION_TERMS", raising=False)
         unset = run_main(capsys, "verify", "--suite", "reflection")
         assert unset[0] == 0
         assert "1000 terms" in unset[1]
-        for value in ("200000", "soon"):
-            monkeypatch.setenv("POLYLIM_PRECISION_TERMS", value)
-            assert run_main(capsys, "verify", "--suite", "reflection") == unset
+        monkeypatch.setenv("POLYLIM_PRECISION_TERMS", value)
+        assert run_main(capsys, "verify", "--suite", "reflection") == unset
+
+    def test_reflection_suite_ignores_precision_env(self, capsys, monkeypatch):
+        self.assert_precision_env_ignored(capsys, monkeypatch, "200000")
+
+    def test_invalid_precision_env_is_ignored(self, capsys, monkeypatch):
+        self.assert_precision_env_ignored(capsys, monkeypatch, "soon")
 
 
 def test_cli_import_leaves_numpy_unloaded():
