@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 
 from . import cotderiv, limits, verify
@@ -103,6 +102,13 @@ def _emit(text: str, output: str | None) -> None:
             handle.write("\n")
 
 
+def _json(value) -> str:
+    """``value`` as indented JSON; json loads only for calls that print it."""
+    import json
+
+    return json.dumps(value, indent=2)
+
+
 def _fraction_json(value) -> dict:
     """An exact rational as decimal-string numerator and denominator."""
     return {"numerator": str(value.numerator), "denominator": str(value.denominator)}
@@ -149,13 +155,12 @@ def _run_coeffs(args) -> int:
             # element's lines indented two more spaces.
             separator = "[\n"
             for e in expansions:
-                element = json.dumps(
+                element = _json(
                     {
                         "order": e.order,
                         "sin_exponent": e.sin_exponent,
                         "harmonics": [[j, str(b)] for j, b in e.harmonics],
-                    },
-                    indent=2,
+                    }
                 )
                 handle.write(separator + "  " + element.replace("\n", "\n  "))
                 separator = ",\n"
@@ -175,9 +180,7 @@ def _run_coeffs(args) -> int:
 def _run_eval_cot(args) -> int:
     value = cotderiv.eval_cot_deriv(args.order, args.x)
     if args.fmt == "json":
-        text = json.dumps(
-            {"order": args.order, "x": args.x, "value": value}, indent=2
-        )
+        text = _json({"order": args.order, "x": args.x, "value": value})
     else:
         text = f"order,x,value\n{args.order},{args.x!r},{value!r}"
     _emit(text, args.output)
@@ -187,15 +190,14 @@ def _run_eval_cot(args) -> int:
 def _run_polygamma(args) -> int:
     result = polygamma(args.order, args.x)
     if args.fmt == "json":
-        text = json.dumps(
+        text = _json(
             {
                 "order": result.order,
                 "x": result.argument,
                 "value": result.value,
                 "method": result.method,
                 "shift_count": result.shift_count,
-            },
-            indent=2,
+            }
         )
     else:
         text = (
@@ -218,7 +220,7 @@ def _run_limit(args) -> int:
     if args.probe:
         report = limits.probe_limit(spec)
         if args.fmt == "json":
-            text = json.dumps(
+            text = _json(
                 {
                     "spec": _spec_json(spec),
                     "epsilons": list(report.epsilons),
@@ -227,18 +229,14 @@ def _run_limit(args) -> int:
                     "target": _fraction_json(report.target),
                     "abs_error": report.abs_error,
                     "converged": report.converged,
-                },
-                indent=2,
+                }
             )
         else:
             text = _probe_csv(report)
     else:
         target = spec.target()
         if args.fmt == "json":
-            text = json.dumps(
-                {"spec": _spec_json(spec), "value": _fraction_json(target)},
-                indent=2,
-            )
+            text = _json({"spec": _spec_json(spec), "value": _fraction_json(target)})
         else:
             # 'p/q', or 'p' for an integer.
             text = str(target)

@@ -143,6 +143,8 @@ def neville_extrapolate(xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
     """Value at 0 of the polynomial through (xs[j], ys[j])."""
     if len(xs) != len(ys) or not xs:
         raise DomainError("need equally many abscissae and values, at least one")
+    if len(set(xs)) != len(xs):
+        raise DomainError(f"abscissae must be distinct, got {xs}")
     tab = list(ys)
     for m in range(1, len(xs)):
         for j in range(len(xs) - 1, m - 1, -1):

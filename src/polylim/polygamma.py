@@ -2,7 +2,11 @@
 
 Three evaluation regions:
 
-* x >= 10: asymptotic expansion in 1/x with Bernoulli-number coefficients.
+* x >= 10: asymptotic expansion in 1/x with Bernoulli-number coefficients
+  (DLMF 5.15.8).  For order >= 1 the series' coefficients
+  B_2j (2j + order - 1)! / (2j)! depend on the order alone, so a table of
+  them is built once per order and cached; each call only divides them by
+  powers of x.
 * 0.5 <= x < 10: upward recurrence until the argument reaches 10, then the
   asymptotic expansion ("shifted-asymptotic").
 * x < 0.5: reflection through 1 - x, with the cotangent-derivative closed
@@ -115,40 +119,56 @@ def _bernoulli_floats() -> tuple[float, ...]:
     return tuple(float(b) for b in _table().values)
 
 
+@lru_cache(maxsize=None)
+def _series_coefficients(order: int) -> tuple[float, ...]:
+    """B_2j * (2j + order - 1)! / (2j)! for j = 1..30, one per Bernoulli pair.
+
+    The factorial ratio c_j is a running float product, starting from
+    (order - 1)! * order * (order + 1) / 2 and multiplied by
+    (2j + order)(2j + order + 1) / ((2j + 1)(2j + 2)) after each term.  Built
+    once per order; the series divides each coefficient by its power of x.
+    """
+    bern = _bernoulli_floats()
+    lead = float(math.factorial(order - 1))
+    c = lead * order * (order + 1) / 2.0
+    coefficients = []
+    for j in range(1, len(bern) // 2 + 1):
+        coefficients.append(bern[2 * j] * c)
+        c *= (2 * j + order) * (2 * j + order + 1) / ((2 * j + 1) * (2 * j + 2))
+    return tuple(coefficients)
+
+
 def _asymptotic(order: int, x: float) -> float:
     """Large-argument expansion; caller guarantees x >= SHIFT_TARGET-ish."""
-    bern = _bernoulli_floats()
+    x2 = x * x
+    prev = math.inf
     if order == 0:
+        bern = _bernoulli_floats()
         acc = math.log(x) - 0.5 / x
-        x2 = x * x
         xp = x2
-        prev = math.inf
         for j in range(1, len(bern) // 2 + 1):
             term = bern[2 * j] / (2 * j * xp)
-            if abs(term) >= prev:
+            size = abs(term)
+            if size >= prev:
                 break
             acc -= term
-            if abs(term) <= _SERIES_EPS * abs(acc):
+            if size <= _SERIES_EPS * abs(acc):
                 break
-            prev = abs(term)
+            prev = size
             xp *= x2
         return acc
     lead = float(math.factorial(order - 1))
     acc = lead / x**order + lead * order / (2.0 * x ** (order + 1))
-    x2 = x * x
     xp = x ** (order + 2)
-    # c_j = (2j + order - 1)! / (2j)!, updated incrementally.
-    c = lead * order * (order + 1) / 2.0
-    prev = math.inf
-    for j in range(1, len(bern) // 2 + 1):
-        term = bern[2 * j] * c / xp
-        if abs(term) >= prev:
+    for coefficient in _series_coefficients(order):
+        term = coefficient / xp
+        size = abs(term)
+        if size >= prev:
             break
         acc += term
-        if abs(term) <= _SERIES_EPS * abs(acc):
+        if size <= _SERIES_EPS * abs(acc):
             break
-        prev = abs(term)
-        c *= (2 * j + order) * (2 * j + order + 1) / ((2 * j + 1) * (2 * j + 2))
+        prev = size
         xp *= x2
     return acc if order % 2 else -acc
 

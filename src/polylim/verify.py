@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import comb
 
 from . import cotderiv, limits
+from .errors import DomainError
 from .polygamma import (
     METHOD_ASYMPTOTIC,
     METHOD_REFLECTION,
@@ -383,4 +384,4 @@ def run_suite(name: str) -> list[CheckResult]:
         return limits_suite()
     if name == "all":
         return coeffs_suite() + reflection_suite() + limits_suite()
-    raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    raise DomainError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")

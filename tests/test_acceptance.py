@@ -4,9 +4,11 @@ Each test prints one PASS line on success; pytest reports the FAIL side.
 Run with ``pytest tests/test_acceptance.py -v``.
 """
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from polylim import (
     FAMILY_GAMMA,
@@ -27,6 +29,8 @@ from polylim import (
 )
 from polylim.limits import EPS0, LEVELS, TOLERANCE
 from polylim.polygamma import ORACLE_TERMS
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 GOLDEN_COEFFS_ORDER1_JSON = """\
 [
@@ -181,10 +185,14 @@ def test_08_pole_independence():
 
 
 def run_cli(*args):
+    # The child finds the package in the source tree, installed or not.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "polylim", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 

@@ -1,18 +1,24 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from polylim import (
     FAMILY_POLYGAMMA,
+    DomainError,
     LimitSpec,
     expansion,
     polygamma,
     probe_limit,
+    verify,
 )
 from polylim.cli import MAX_COEFF_ORDER, main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 GOLDEN_COEFFS_ORDER1_JSON = """\
 [
@@ -46,12 +52,19 @@ GOLDEN_POLYGAMMA_LIMIT_JSON = """\
 """
 
 
-def run_cli(*args, env=None):
+def child_env():
+    """This process's environment with the source tree first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env
+
+
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "polylim", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
 
 
@@ -362,6 +375,11 @@ class TestVerifyCommand:
     def test_invalid_precision_env_is_ignored(self, capsys, monkeypatch):
         self.assert_precision_env_ignored(capsys, monkeypatch, "soon")
 
+    def test_unknown_suite_is_domain_error(self):
+        # DomainError subclasses ValueError, so callers catching that still work.
+        with pytest.raises(DomainError, match="unknown suite 'x'"):
+            verify.run_suite("x")
+
 
 def test_cli_import_leaves_numpy_unloaded():
     # Every CLI call pays for what importing the CLI loads; dataclasses alone
@@ -369,7 +387,8 @@ def test_cli_import_leaves_numpy_unloaded():
     # the five polylim modules below right after `import polylim.cli`.
     script = (
         "import sys, polylim.cli\n"
-        "print([m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])\n"
+        "print([m for m in ('numpy', 'dataclasses', 'inspect', 'json')"
+        " if m in sys.modules])\n"
         "print([m for m in ('cotderiv', 'polygamma', 'limits', 'verify', '_kernels')"
         " if 'polylim.' + m not in sys.modules])\n"
     )
@@ -377,6 +396,7 @@ def test_cli_import_leaves_numpy_unloaded():
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout == "[]\n[]\n"

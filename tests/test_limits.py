@@ -113,6 +113,12 @@ class TestNeville:
         with pytest.raises(DomainError):
             neville_extrapolate((1.0, 0.5), (1.0,))
 
+    def test_rejects_repeated_abscissae(self):
+        with pytest.raises(DomainError, match="distinct"):
+            neville_extrapolate((0.1, 0.1), (1.0, 2.0))
+        with pytest.raises(DomainError, match="distinct"):
+            neville_extrapolate((0.0, 0.5, -0.0), (1.0, 2.0, 3.0))
+
 
 class TestProbeLimit:
     def test_polygamma_example(self):

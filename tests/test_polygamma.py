@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from math import comb
@@ -17,6 +18,7 @@ from polylim import (
     polygamma_series_oracle,
     reflection_residual,
 )
+from polylim import cotderiv
 from polylim.polygamma import (
     METHOD_ASYMPTOTIC,
     METHOD_REFLECTION,
@@ -234,6 +236,67 @@ class TestPolygammaErrors:
     def test_overflowing_asymptotic_power_is_domain_error(self, order, x):
         with pytest.raises(DomainError, match="exceeds double precision range"):
             polygamma(order, x)
+
+
+# Arguments for the float-path pins: every evaluation region, poles and
+# near-poles, and arguments whose powers leave double range at high orders.
+PIN_ARGUMENTS = (
+    10.0, 12.5, 37.25, 1e3, 1e20, 1e100, 1e300,  # asymptotic
+    0.5, 1.0, 2.5, 7.75, 9.999,  # shifted
+    0.25, 1e-10, -0.5, -2.3, -7.5, -20.3, -1e6 - 0.5, -1e300,  # reflection
+    -3 + 1e-9, -3 - 1e-11, -3 + 1e-13, 0.0,  # near and on poles
+)
+
+# sha256 of the lines pin_line(order, x) for orders 0..170 and PIN_ARGUMENTS.
+# Any change to a float path moves it; a deliberate one records the new
+# digest and says why.
+PIN_DIGEST = "d681bd758e8b88d695c91f667942ebb716fd9cbac091bc7a761c94154778cc2d"
+
+
+def pin_line(order, x):
+    # Every exception is pinned, a leaked non-PolylimError one included.
+    try:
+        outcome = repr(polygamma(order, x).value)
+    except Exception as exc:
+        outcome = f"{type(exc).__name__}: {exc}"
+    return f"{order} {x!r} {outcome}\n"
+
+
+class TestFloatPathPins:
+    def test_grid_digest(self):
+        digest = hashlib.sha256()
+        for order in range(cotderiv.MAX_EVAL_ORDER + 1):
+            for x in PIN_ARGUMENTS:
+                digest.update(pin_line(order, x).encode())
+        assert digest.hexdigest() == PIN_DIGEST
+
+    @pytest.mark.parametrize(
+        "order, x, line",
+        [
+            (0, 1.0, "0 1.0 -0.5772156649015332\n"),
+            (1, 0.5, "1 0.5 4.934802200544679\n"),
+            (3, 12.5, "3 12.5 0.0011534128049134054\n"),
+            (2, 2.5, "2 2.5 -0.23620405164172742\n"),
+            (1, -2.3, "1 -2.3 14.725912160961292\n"),
+            (40, 37.25, "40 37.25 -4.7600401419332735e-17\n"),
+            # Pinned as it stands: the true value is about -0.0039328.
+            (16, -7.5, "16 -7.5 -3592.5083974106033\n"),
+            (
+                170,
+                1e3,
+                "170 1000.0 DomainError: polygamma of order 170 at x=1000.0 "
+                "exceeds double precision range\n",
+            ),
+            (
+                0,
+                -3 + 1e-13,
+                "0 -2.9999999999999 PoleError: x=-2.9999999999999 is within "
+                "1e-12 of the pole at -3\n",
+            ),
+        ],
+    )
+    def test_literal_values(self, order, x, line):
+        assert pin_line(order, x) == line
 
 
 class TestReflectionResidual:
