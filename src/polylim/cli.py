@@ -177,35 +177,31 @@ def _run_coeffs(args) -> int:
     return 0
 
 
+def _record(fields: dict, fmt: str) -> str:
+    """One record: JSON, or a CSV header of the keys over one row."""
+    if fmt == "json":
+        return _json(fields)
+    row = (repr(v) if isinstance(v, float) else str(v) for v in fields.values())
+    return ",".join(fields) + "\n" + ",".join(row)
+
+
 def _run_eval_cot(args) -> int:
     value = cotderiv.eval_cot_deriv(args.order, args.x)
-    if args.fmt == "json":
-        text = _json({"order": args.order, "x": args.x, "value": value})
-    else:
-        text = f"order,x,value\n{args.order},{args.x!r},{value!r}"
-    _emit(text, args.output)
+    fields = {"order": args.order, "x": args.x, "value": value}
+    _emit(_record(fields, args.fmt), args.output)
     return 0
 
 
 def _run_polygamma(args) -> int:
     result = polygamma(args.order, args.x)
-    if args.fmt == "json":
-        text = _json(
-            {
-                "order": result.order,
-                "x": result.argument,
-                "value": result.value,
-                "method": result.method,
-                "shift_count": result.shift_count,
-            }
-        )
-    else:
-        text = (
-            "order,x,value,method,shift_count\n"
-            f"{result.order},{result.argument!r},{result.value!r},"
-            f"{result.method},{result.shift_count}"
-        )
-    _emit(text, args.output)
+    fields = {
+        "order": result.order,
+        "x": result.argument,
+        "value": result.value,
+        "method": result.method,
+        "shift_count": result.shift_count,
+    }
+    _emit(_record(fields, args.fmt), args.output)
     return 0
 
 

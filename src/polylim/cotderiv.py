@@ -251,7 +251,7 @@ def eval_cot_deriv_pi(order: int, z: float) -> float:
     Writing z = m + d with integer m and |d| <= 1/2 keeps sin(pi*z) fully
     accurate arbitrarily close to the poles (the subtraction z - m is exact),
     which direct evaluation at the rounded product pi*z cannot do.  Used by
-    the polygamma reflection path and the pole probes.
+    the polygamma reflection path and by ``reflection_residual``.
     """
     order = _eval_order(order)
     if not math.isfinite(z) or abs(z) >= 2.0**52:

@@ -225,7 +225,7 @@ def polygamma(order: int, x: float) -> PolygammaResult:
     except OverflowError:
         # The powers of x in the asymptotic series leave double range for
         # large arguments (x**(order + 2) at polygamma(3, 1e300)).
-        raise _out_of_range(order, x) from None
+        value = math.inf
     if not math.isfinite(value):
         raise _out_of_range(order, x)
     return PolygammaResult(order, x, value, method, shifts)
@@ -257,32 +257,47 @@ def polygamma_series_oracle(order: int, x: float) -> float:
         raise DomainError(f"argument must be positive and finite, got {x}")
     s = order + 1
     a = x + ORACLE_TERMS
-    body = shifted_power_sum(x, s, ORACLE_TERMS)
-    tail = (
-        a**-order / order
-        + a**-s / 2.0
-        + s * a ** -(s + 1) / 12.0
-        - s * (s + 1) * (s + 2) * a ** -(s + 3) / 720.0
-    )
-    total = math.factorial(order) * (body + tail)
+    try:
+        body = shifted_power_sum(x, s, ORACLE_TERMS)
+        tail = (
+            a**-order / order
+            + a**-s / 2.0
+            + s * a ** -(s + 1) / 12.0
+            - s * (s + 1) * (s + 2) * a ** -(s + 3) / 720.0
+        )
+        total = math.factorial(order) * (body + tail)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise _out_of_range(order, x)
     return total if order % 2 else -total
 
 
 def reflection_residual(order: int, z: float) -> float:
-    """Absolute defect of the reflection identity at z in (0, 1).
+    """Relative defect of the reflection identity at z in (0, 1).
 
     Evaluates |psi^(n)(1-z) + (-1)^(n+1) psi^(n)(z)
                - (-1)^n pi^(n+1) cot^(n)(pi z)|
-    with both polygamma values computed through the positive-argument paths
-    only, never through reflection, so a small residual genuinely verifies
-    the identity.
+    relative to the largest term: divided by the largest magnitude among
+    psi^(n)(1-z), psi^(n)(z) and pi^(n+1) cot^(n)(pi z).  Both polygamma
+    values are computed through the positive-argument paths only, never
+    through reflection, so a small residual genuinely verifies the identity.
     """
     order = _order(order)
     if not (0.0 < z < 1.0):
         raise DomainError(f"z must lie strictly inside (0, 1), got {z}")
-    left = _positive(order, 1.0 - z)[0]
-    right = _positive(order, z)[0]
-    cot_term = math.pi ** (order + 1) * eval_cot_deriv_pi(order, z)
-    if order % 2:
-        return abs(left + right + cot_term)
-    return abs(left - right - cot_term)
+    try:
+        left = _positive(order, 1.0 - z)[0]
+        right = _positive(order, z)[0]
+        cot_term = math.pi ** (order + 1) * eval_cot_deriv_pi(order, z)
+        defect = left + right + cot_term if order % 2 else left - right - cot_term
+        # A term beyond double range makes this inf / inf or inf / x.
+        residual = abs(defect) / max(abs(left), abs(right), abs(cot_term))
+    except OverflowError:
+        residual = math.inf
+    if not math.isfinite(residual):
+        raise DomainError(
+            f"reflection residual of order {order} at z={z} exceeds double "
+            "precision range"
+        )
+    return residual

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from polylim import (
     DomainError,
     LimitSpec,
     expansion,
+    limits,
     polygamma,
     probe_limit,
     verify,
@@ -50,6 +52,32 @@ GOLDEN_POLYGAMMA_LIMIT_JSON = """\
   }
 }
 """
+
+GOLDEN_VERIFY_ALL = """\
+PASS coefficient-sum-identity (orders 1..50 exact)
+PASS oracle-equivalence (orders 1..25 at 50 points)
+PASS unified-piecewise-agreement (240 table harmonics and 225 unified pairs exact)
+PASS finite-difference-consistency (orders 1..8)
+PASS parity (orders 1..30)
+PASS exact-harmonic-extraction (orders 1..12 exact)
+PASS bernoulli-recurrence (B0..B59 exact)
+PASS recurrence-identity (orders 0..8 at 100 points)
+PASS series-oracle-agreement (orders 1..8, 1000 terms)
+PASS reflection-identity (orders 0..8 at 50 points)
+PASS sign-pattern (orders 1..8 on x > 0)
+PASS path-bookkeeping (methods match regions)
+PASS exact-reciprocity (n,q,k <= 6)
+PASS polygamma-symmetry (i <= 5, n,q <= 6)
+PASS laurent-residue-unit (poles 0..20)
+PASS theorem-probe-grid (72 probes converged)
+PASS gamma-probe-grid (15 probes converged)
+PASS pole-independence (k=0..3 agree)
+PASS monotone-improvement (extrapolation beats last sample)
+19/19 checks passed in suite 'all'
+"""
+
+# The four theorem probes that pole-independence compares: i=2, n=3, q=2.
+POLE_PROBES = [LimitSpec(FAMILY_POLYGAMMA, 3, 2, k, 2) for k in range(4)]
 
 
 def child_env():
@@ -379,6 +407,62 @@ class TestVerifyCommand:
         # DomainError subclasses ValueError, so callers catching that still work.
         with pytest.raises(DomainError, match="unknown suite 'x'"):
             verify.run_suite("x")
+
+    def test_all_suites_golden(self, capsys):
+        assert run_main(capsys, "verify", "--suite", "all") == (
+            0,
+            GOLDEN_VERIFY_ALL,
+            "",
+        )
+
+
+@pytest.fixture(scope="module")
+def theorem_reports():
+    return verify._probe_reports(FAMILY_POLYGAMMA, verify._THEOREM_CASES)
+
+
+class TestVerifyChecksCanFail:
+    def test_reflection_identity_sees_a_scaled_cot_term(self, monkeypatch):
+        module = importlib.import_module("polylim.polygamma")
+        exact = module.eval_cot_deriv_pi
+        monkeypatch.setattr(
+            module,
+            "eval_cot_deriv_pi",
+            lambda order, z: exact(order, z) * (1.0 + 1e-6),
+        )
+        result = verify._check_reflection_identity()
+        assert result.name == "reflection-identity"
+        assert not result.passed
+
+    def test_pole_independence_sees_one_shifted_extrapolation(self, monkeypatch):
+        exact = limits.probe_limit
+
+        def probe(spec):
+            report = exact(spec)
+            if spec == POLE_PROBES[3]:
+                report = report._replace(extrapolated=report.extrapolated + 1e-4)
+            return report
+
+        monkeypatch.setattr(limits, "probe_limit", probe)
+        results = {r.name: r for r in verify.limits_suite()}
+        assert not results["pole-independence"].passed
+
+    def test_pole_independence_reads_exactly_four_reports(self, theorem_reports):
+        check = verify._check_pole_independence
+        assert [r.spec for r in theorem_reports if r.spec in POLE_PROBES] == (
+            POLE_PROBES
+        )
+        # Moving every other report leaves the check passing ...
+        moved = [
+            r if r.spec in POLE_PROBES
+            else r._replace(extrapolated=r.extrapolated + 1.0)
+            for r in theorem_reports
+        ]
+        assert check(moved).passed
+        # ... and it fails without any one of the four, so a filter that
+        # reads fewer cannot pass with a spread of 0.
+        for spec in POLE_PROBES:
+            assert not check([r for r in theorem_reports if r.spec != spec]).passed
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -13,7 +13,6 @@ from polylim import (
     PoleError,
     TableCapacityError,
     bernoulli,
-    eval_cot_deriv_pi,
     polygamma,
     polygamma_series_oracle,
     reflection_residual,
@@ -312,13 +311,7 @@ class TestReflectionResidual:
     def test_identity_over_grid(self):
         for n in range(0, 9):
             for z in grid(0.05, 0.95, 50):
-                residual = reflection_residual(n, z)
-                scale = max(
-                    abs(polygamma(n, 1.0 - z).value),
-                    abs(polygamma(n, z).value),
-                    math.pi ** (n + 1) * abs(eval_cot_deriv_pi(n, z)),
-                )
-                assert residual <= 1e-8 * (1.0 + scale), (n, z)
+                assert reflection_residual(n, z) <= 1e-13, (n, z)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -327,6 +320,22 @@ class TestReflectionResidual:
             reflection_residual(1, 1.0)
         with pytest.raises(DomainError):
             reflection_residual(1, -0.3)
+
+
+@pytest.mark.parametrize(
+    "oracle, order, z",
+    [
+        (polygamma_series_oracle, 170, 0.5),  # the sum overflows to -inf
+        (polygamma_series_oracle, 170, 1e-300),  # a power overflows
+        (reflection_residual, 170, 0.5),  # inf - inf
+        (reflection_residual, 170, 1e-300),
+        (reflection_residual, 100, 0.999999),  # psi^(100)(1e-6)
+        (reflection_residual, 1, 1e-320),
+    ],
+)
+def test_oracle_out_of_range_is_domain_error(oracle, order, z):
+    with pytest.raises(DomainError, match="exceeds double precision range"):
+        oracle(order, z)
 
 
 @settings(max_examples=150, deadline=None)
@@ -346,10 +355,4 @@ def test_property_recurrence(n, x):
     z=st.floats(min_value=0.05, max_value=0.95),
 )
 def test_property_reflection_identity(n, z):
-    residual = reflection_residual(n, z)
-    scale = max(
-        abs(polygamma(n, 1.0 - z).value),
-        abs(polygamma(n, z).value),
-        math.pi ** (n + 1) * abs(eval_cot_deriv_pi(n, z)),
-    )
-    assert residual <= 1e-8 * (1.0 + scale)
+    assert reflection_residual(n, z) <= 1e-8
