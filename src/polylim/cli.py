@@ -125,19 +125,13 @@ def _spec_json(spec: limits.LimitSpec) -> dict:
 
 
 def _probe_csv(report: limits.ProbeReport) -> str:
-    spec = report.spec
-    prefix = (
-        f"{spec.family},{spec.derivative_order},{spec.numerator_scale},"
-        f"{spec.denominator_scale},{spec.pole_index}"
-    )
-    lines = ["family,i,n,q,k,eps,sample"]
+    header, prefix = _record(_spec_json(report.spec), "csv").split("\n")
+    lines = [f"{header},eps,sample"]
     lines += [
         f"{prefix},{eps!r},{sample!r}"
         for eps, sample in zip(report.epsilons, report.samples)
     ]
-    lines.append(
-        "family,i,n,q,k,extrapolated,target_num,target_den,abs_error,converged"
-    )
+    lines.append(f"{header},extrapolated,target_num,target_den,abs_error,converged")
     lines.append(
         f"{prefix},{report.extrapolated!r},{report.target.numerator},"
         f"{report.target.denominator},{report.abs_error!r},"

@@ -20,6 +20,7 @@ evaluates the closed form, and carries three independent routes to them:
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -42,6 +43,9 @@ POLE_GUARD = 1e-12
 # above it the integer coefficients and order! (171! > 1.8e308) exceed double
 # range.  Exact generation still works, float evaluation does not.
 MAX_EVAL_ORDER = 170
+
+# Largest double; math.isfinite raises OverflowError for an int beyond it.
+_DOUBLE_MAX = sys.float_info.max
 
 
 class CotDerivExpansion(
@@ -202,37 +206,46 @@ def expansion(order: int) -> CotDerivExpansion:
     return CotDerivExpansion(order=order, sin_exponent=order + 1, harmonics=harmonics)
 
 
-def _checked_quotient(num: float, denom: float, order: int, where: str) -> float:
+def _checked_quotient(num: float, denom: float, order: int, label: str, arg) -> float:
     """num / sin**(order+1), or DomainError when it leaves double range.
 
     Near a pole the power of sin underflows to 0 (or the quotient overflows)
-    long before the pole guard trips, for orders above about 20.
+    long before the pole guard trips, for orders above about 20.  The error
+    names the point as ``label`` followed by ``arg``, formatted only on failure.
     """
     value = num / denom if denom else math.inf
     if not math.isfinite(value):
         raise DomainError(
-            f"cot^({order}) at {where} exceeds double precision range"
+            f"cot^({order}) at {label}{arg} exceeds double precision range"
         )
     return value
+
+
+def _shown(value) -> str:
+    """str(value), or the size of an int too long for int-to-str conversion."""
+    try:
+        return str(value)
+    except ValueError:  # beyond sys.get_int_max_str_digits() digits
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
 
 
 def _eval_order(order) -> int:
     """Validate the order of a double-precision evaluation; return an int."""
     order = as_index(order, "order")
+    if 0 <= order <= MAX_EVAL_ORDER:
+        return order
     if order < 0:
-        raise DomainError(f"derivative order must be >= 0, got {order}")
-    if order > MAX_EVAL_ORDER:
-        raise DomainError(
-            f"order {order} exceeds double precision range (max {MAX_EVAL_ORDER})"
-        )
-    return order
+        raise DomainError(f"order must be >= 0, got {_shown(order)}")
+    raise DomainError(
+        f"order {_shown(order)} exceeds double precision range (max {MAX_EVAL_ORDER})"
+    )
 
 
 def eval_cot_deriv(order: int, x: float) -> float:
     """Evaluate cot^(order) at x (radians) in double precision."""
     order = _eval_order(order)
-    if not math.isfinite(x):
-        raise DomainError(f"argument must be finite, got {x}")
+    if not abs(x) <= _DOUBLE_MAX:
+        raise DomainError(f"argument must be finite, got {_shown(x)}")
     s = math.sin(x)
     if abs(s) < POLE_GUARD:
         raise PoleError(
@@ -242,7 +255,7 @@ def eval_cot_deriv(order: int, x: float) -> float:
     if order == 0:
         return math.cos(x) / s
     num = sum(b * math.cos(j * x) for j, b in expansion(order).harmonics)
-    return _checked_quotient(num, s ** (order + 1), order, f"x={x}")
+    return _checked_quotient(num, s ** (order + 1), order, "x=", x)
 
 
 def eval_cot_deriv_pi(order: int, z: float) -> float:
@@ -254,8 +267,8 @@ def eval_cot_deriv_pi(order: int, z: float) -> float:
     the polygamma reflection path and by ``reflection_residual``.
     """
     order = _eval_order(order)
-    if not math.isfinite(z) or abs(z) >= 2.0**52:
-        raise DomainError(f"argument out of reducible range: {z}")
+    if not abs(z) < 2.0**52:
+        raise DomainError(f"argument out of reducible range: {_shown(z)}")
     m = round(z)
     d = z - m
     s = math.sin(math.pi * d)
@@ -270,7 +283,7 @@ def eval_cot_deriv_pi(order: int, z: float) -> float:
     num = 0.0
     for j, b in expansion(order).harmonics:
         num += b * math.cos(math.pi * (j * d))
-    return _checked_quotient(num, s ** (order + 1), order, f"pi*{z}")
+    return _checked_quotient(num, s ** (order + 1), order, "pi*", z)
 
 
 @lru_cache(maxsize=None)

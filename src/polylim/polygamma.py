@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._kernels import shifted_power_sum
-from .cotderiv import _eval_order, eval_cot_deriv_pi
+from .cotderiv import _DOUBLE_MAX, _eval_order, _shown, eval_cot_deriv_pi
 from .errors import DomainError, PoleError, TableCapacityError, as_index
 
 # Shift target for the recurrence region; arguments at or above this go
@@ -187,14 +187,6 @@ def _positive(order: int, x: float) -> tuple[float, int]:
     return value, shifts
 
 
-def _order(order) -> int:
-    """Validate a polygamma order; return it as an int."""
-    order = as_index(order, "order")
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
-    return _eval_order(order)
-
-
 def _out_of_range(order: int, x: float) -> DomainError:
     return DomainError(
         f"polygamma of order {order} at x={x} exceeds double precision range"
@@ -203,9 +195,9 @@ def _out_of_range(order: int, x: float) -> DomainError:
 
 def polygamma(order: int, x: float) -> PolygammaResult:
     """Evaluate the order-th polygamma at real x with path bookkeeping."""
-    order = _order(order)
-    if not math.isfinite(x):
-        raise DomainError(f"argument must be finite, got {x}")
+    order = _eval_order(order)
+    if not abs(x) <= _DOUBLE_MAX:
+        raise DomainError(f"argument must be finite, got {_shown(x)}")
     try:
         if x >= 0.5:
             value, shifts = _positive(order, x)
@@ -247,14 +239,14 @@ def polygamma_series_oracle(order: int, x: float) -> float:
     with the evaluation paths.  Intended as an independent check, not for
     production use.
     """
-    if as_index(order, "order") < 1:
+    order = _eval_order(order)
+    if order < 1:
         raise DomainError(
             "series oracle requires order >= 1 (the digamma check uses the "
             "harmonic construction instead)"
         )
-    order = _order(order)
-    if not (math.isfinite(x) and x > 0):
-        raise DomainError(f"argument must be positive and finite, got {x}")
+    if not 0 < x <= _DOUBLE_MAX:
+        raise DomainError(f"argument must be positive and finite, got {_shown(x)}")
     s = order + 1
     a = x + ORACLE_TERMS
     try:
@@ -283,9 +275,9 @@ def reflection_residual(order: int, z: float) -> float:
     values are computed through the positive-argument paths only, never
     through reflection, so a small residual genuinely verifies the identity.
     """
-    order = _order(order)
+    order = _eval_order(order)
     if not (0.0 < z < 1.0):
-        raise DomainError(f"z must lie strictly inside (0, 1), got {z}")
+        raise DomainError(f"z must lie strictly inside (0, 1), got {_shown(z)}")
     try:
         left = _positive(order, 1.0 - z)[0]
         right = _positive(order, z)[0]

@@ -225,6 +225,48 @@ class TestEvalCot:
         assert out == ""
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("eval-cot", "--order", "-1", "--x", "1"), "order must be >= 0, got -1"),
+        (("polygamma", "--order", "-1", "--x", "1"), "order must be >= 0, got -1"),
+        (
+            ("eval-cot", "--order", "171", "--x", "1"),
+            "order 171 exceeds double precision range (max 170)",
+        ),
+        (
+            ("polygamma", "--order", "171", "--x", "1"),
+            "order 171 exceeds double precision range (max 170)",
+        ),
+        (
+            ("eval-cot", "--order", "2", "--x", "nan"),
+            "argument must be finite, got nan",
+        ),
+        (
+            ("polygamma", "--order", "2", "--x", "nan"),
+            "argument must be finite, got nan",
+        ),
+        (
+            ("eval-cot", "--order", "40", "--x", "1e-11"),
+            "cot^(40) at x=1e-11 exceeds double precision range",
+        ),
+        (
+            ("polygamma", "--order", "170", "--x", "0.5"),
+            "polygamma of order 170 at x=0.5 exceeds double precision range",
+        ),
+        (
+            ("limit", "--family", "polygamma", "--i", "170", "--n", "1", "--q",
+             "1000", "--k", "0", "--probe"),
+            "cot^(170) at pi*0.05 exceeds double precision range",
+        ),
+    ],
+)
+def test_computational_failure_prints_its_message(capsys, args, message):
+    # eval-cot and polygamma validate --order through the same check, so a
+    # bad order reads the same from both.
+    assert run_main(capsys, *args) == (1, "", f"polylim: {message}\n")
+
+
 class TestPolygammaCommand:
     def test_csv_fields(self, capsys):
         code, out, _ = run_main(capsys, "polygamma", "--order", "1", "--x",

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import math
 from fractions import Fraction
 from math import comb
@@ -336,6 +337,63 @@ class TestReflectionResidual:
 def test_oracle_out_of_range_is_domain_error(oracle, order, z):
     with pytest.raises(DomainError, match="exceeds double precision range"):
         oracle(order, z)
+
+
+# An int beyond double range, and ints with more digits than int-to-str
+# conversion allows, with the parameter ids that stand for them: pytest's
+# default id converts an int to text, which fails for 10**5000.
+HUGE_INTS = {10**400: "10**400", 10**5000: "10**5000", -(10**5000): "-10**5000"}
+
+
+@pytest.mark.parametrize(
+    "function, order, x",
+    [
+        (polygamma, 1, 10**400),
+        (cotderiv.eval_cot_deriv, 1, 10**400),
+        (cotderiv.eval_cot_deriv_pi, 1, 10**400),
+        (polygamma_series_oracle, 1, 10**400),
+        (polygamma, 10**5000, 1.0),
+        (polygamma, -(10**5000), 1.0),
+        (cotderiv.eval_cot_deriv, 10**5000, 1.0),
+        (reflection_residual, 10**5000, 0.5),
+        (polygamma, 1, 10**5000),
+        (cotderiv.eval_cot_deriv_pi, 1, -(10**5000)),
+        (polygamma_series_oracle, 1, 10**5000),
+        (reflection_residual, 1, -(10**5000)),
+    ],
+    ids=HUGE_INTS.get,
+)
+def test_huge_int_is_domain_error(function, order, x):
+    with pytest.raises(DomainError):
+        function(order, x)
+
+
+@pytest.mark.parametrize(
+    "function, x, checks",
+    [
+        (polygamma, 2.3, 1),
+        (polygamma, -2.3, 2),  # eval_cot_deriv_pi checks its own order
+        (polygamma_series_oracle, 2.3, 1),
+        (reflection_residual, 0.3, 2),  # likewise
+    ],
+)
+def test_order_is_validated_once_per_public_call(monkeypatch, function, x, checks):
+    function(3, x)  # builds the cached order-3 expansion first
+    names = []
+    for name in ("polylim.polygamma", "polylim.cotderiv"):
+        # The package attribute polylim.polygamma is the function, not the module.
+        module = importlib.import_module(name)
+        monkeypatch.setattr(module, "as_index", _recording(module.as_index, names))
+    function(3, x)
+    assert names == ["order"] * checks
+
+
+def _recording(as_index, names):
+    def recorded(value, name):
+        names.append(name)
+        return as_index(value, name)
+
+    return recorded
 
 
 @settings(max_examples=150, deadline=None)
