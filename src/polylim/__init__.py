@@ -24,8 +24,8 @@ from .limits import (
     FAMILY_GAMMA,
     FAMILY_POLYGAMMA,
     LimitSpec,
+    PoleGerm,
     ProbeReport,
-    gamma_laurent_leading,
     gamma_ratio_limit,
     neville_extrapolate,
     polygamma_ratio_limit,
@@ -53,6 +53,7 @@ __all__ = [
     "InvalidHarmonicError",
     "LimitSpec",
     "PoleError",
+    "PoleGerm",
     "PolygammaResult",
     "PolylimError",
     "ProbeFailureError",
@@ -64,7 +65,6 @@ __all__ = [
     "eval_cot_deriv",
     "eval_cot_deriv_pi",
     "expansion",
-    "gamma_laurent_leading",
     "gamma_ratio_limit",
     "harmonics_from_polynomial",
     "neville_extrapolate",

@@ -399,6 +399,7 @@ def expansions_up_to(max_order: int) -> Iterator[CotDerivExpansion]:
     The order is checked at the call, before any table is built, so a caller
     that streams the tables fails before writing anything.
     """
+    max_order = as_index(max_order, "max_order")
     if max_order < 1:
         raise DomainError(f"max order must be >= 1, got {max_order}")
     return map(expansion, range(1, max_order + 1))

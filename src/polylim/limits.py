@@ -2,11 +2,12 @@
 
 The gamma ratio Gamma(n*z)/Gamma(q*z) and the polygamma ratios
 psi^(i)(n*z)/psi^(i)(q*z) approach exact rational values as z approaches a
-non-positive integer -k.  This module computes those rationals in exact
-arithmetic and, independently, samples each ratio on the fixed geometric
-grid z = -k + EPS0 * 2**-j and extrapolates the samples to eps = 0 with
-Neville's algorithm.  The extrapolation is justified because numerator and denominator
-carry poles of equal order, making the ratio analytic in eps at 0.
+non-positive integer -k.  Every limit is the quotient of two pole germs, the
+leading Laurent terms of numerator and denominator, in exact arithmetic.
+Independently, each ratio is sampled on the fixed geometric grid
+z = -k + EPS0 * 2**-j and extrapolated to eps = 0 with Neville's algorithm,
+which is justified because the two poles have equal order: the ratio is
+analytic in eps at 0.
 """
 from __future__ import annotations
 
@@ -29,49 +30,23 @@ LEVELS = 8
 TOLERANCE = 1e-5
 
 
-def gamma_ratio_limit(
-    numerator_scale: int, denominator_scale: int, pole_index: int
-) -> Fraction:
-    """Exact limit of Gamma(n*z)/Gamma(q*z) as z -> -pole_index.
+class PoleGerm(namedtuple("PoleGerm", "coefficient pole_order")):
+    """Leading Laurent term: f(s*z) ~ coefficient * eps**-pole_order, eps = z + k."""
 
-    Equals (-1)**((n-q)*k) * (q/n) * (q*k)! / (n*k)! with the sign folded
-    into the numerator.
-    """
-    n = as_index(numerator_scale, "numerator_scale")
-    q = as_index(denominator_scale, "denominator_scale")
-    k = as_index(pole_index, "pole_index")
-    if n < 1 or q < 1:
-        raise DomainError(f"scales must be >= 1, got n={n}, q={q}")
-    if k < 0:
-        raise DomainError(f"pole index must be >= 0, got {k}")
-    sign = -1 if ((n - q) * k) % 2 else 1
-    return Fraction(sign * q * math.factorial(q * k), n * math.factorial(n * k))
+    __slots__ = ()
 
 
-def polygamma_ratio_limit(
-    derivative_order: int, numerator_scale: int, denominator_scale: int
-) -> Fraction:
-    """Exact limit of psi^(i)(n*z)/psi^(i)(q*z) at every pole: (q/n)**(i+1).
-
-    The value is independent of which pole the limit is taken at; the probe
-    machinery verifies that independence numerically.
-    """
-    i = as_index(derivative_order, "derivative_order")
-    n = as_index(numerator_scale, "numerator_scale")
-    q = as_index(denominator_scale, "denominator_scale")
-    if i < 0:
-        raise DomainError(f"derivative order must be >= 0, got {i}")
-    if n < 1 or q < 1:
-        raise DomainError(f"scales must be >= 1, got n={n}, q={q}")
-    return Fraction(q, n) ** (i + 1)
+def _gamma_germ(s: int, k: int, i: int) -> PoleGerm:
+    # Gamma(-m + d) ~ (-1)**m / (m! * d) with m = s*k and d = s*eps.
+    return PoleGerm(Fraction((-1) ** (s * k), s * math.factorial(s * k)), 1)
 
 
-def gamma_laurent_leading(pole_index: int) -> Fraction:
-    """Residue of Gamma at -pole_index: (-1)**k / k!."""
-    k = as_index(pole_index, "pole_index")
-    if k < 0:
-        raise DomainError(f"pole index must be >= 0, got {k}")
-    return Fraction((-1) ** k, math.factorial(k))
+def _polygamma_germ(s: int, k: int, i: int) -> PoleGerm:
+    # psi^(i)(-m + d) ~ (-1)**(i+1) * i! / d**(i+1) with d = s*eps, at every m.
+    return PoleGerm(Fraction((-1) ** (i + 1) * math.factorial(i), s ** (i + 1)), i + 1)
+
+
+_GERMS = {FAMILY_GAMMA: _gamma_germ, FAMILY_POLYGAMMA: _polygamma_germ}
 
 
 class LimitSpec(
@@ -82,22 +57,16 @@ class LimitSpec(
 ):
     """Which pole-ratio limit to take: family, scales, pole, derivative order.
 
-    ``derivative_order`` is ignored by the gamma family.  ``pole_index`` does
-    not change the polygamma family's exact value but selects where the probe
+    The gamma family takes derivative order 0 only.  ``pole_index`` does not
+    change the polygamma family's exact value but selects where the probe
     samples.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        family: str,
-        numerator_scale: int,
-        denominator_scale: int,
-        pole_index: int = 0,
-        derivative_order: int = 0,
-    ):
-        if family not in (FAMILY_GAMMA, FAMILY_POLYGAMMA):
+    def __new__(cls, family: str, numerator_scale: int, denominator_scale: int,
+                pole_index: int = 0, derivative_order: int = 0):
+        if family not in _GERMS:
             raise DomainError(f"unknown limit family: {family!r}")
         numerator_scale = as_index(numerator_scale, "numerator_scale")
         denominator_scale = as_index(denominator_scale, "denominator_scale")
@@ -109,23 +78,47 @@ class LimitSpec(
             raise DomainError("pole index must be >= 0")
         if derivative_order < 0:
             raise DomainError("derivative order must be >= 0")
-        return super().__new__(
-            cls,
-            family,
-            numerator_scale,
-            denominator_scale,
-            pole_index,
-            derivative_order,
-        )
+        if family == FAMILY_GAMMA and derivative_order:
+            raise DomainError(
+                f"the {family} family takes derivative order 0 only, "
+                f"got {derivative_order}"
+            )
+        return super().__new__(cls, family, numerator_scale, denominator_scale,
+                               pole_index, derivative_order)
+
+    def germs(self) -> tuple[PoleGerm, PoleGerm]:
+        """The numerator's and the denominator's germs at z = -pole_index."""
+        germ, k, i = _GERMS[self.family], self.pole_index, self.derivative_order
+        return germ(self.numerator_scale, k, i), germ(self.denominator_scale, k, i)
 
     def target(self) -> Fraction:
-        if self.family == FAMILY_GAMMA:
-            return gamma_ratio_limit(
-                self.numerator_scale, self.denominator_scale, self.pole_index
-            )
-        return polygamma_ratio_limit(
-            self.derivative_order, self.numerator_scale, self.denominator_scale
-        )
+        """The exact limit: the quotient of the two germ coefficients."""
+        num, den = self.germs()
+        return num.coefficient / den.coefficient
+
+
+def gamma_ratio_limit(
+    numerator_scale: int, denominator_scale: int, pole_index: int
+) -> Fraction:
+    """Exact limit of Gamma(n*z)/Gamma(q*z) as z -> -pole_index.
+
+    Equals (-1)**((n-q)*k) * (q/n) * (q*k)! / (n*k)!.
+    """
+    spec = LimitSpec(FAMILY_GAMMA, numerator_scale, denominator_scale, pole_index)
+    return spec.target()
+
+
+def polygamma_ratio_limit(
+    derivative_order: int, numerator_scale: int, denominator_scale: int
+) -> Fraction:
+    """Exact limit of psi^(i)(n*z)/psi^(i)(q*z) at every pole: (q/n)**(i+1).
+
+    The value is independent of which pole the limit is taken at; the probe
+    machinery verifies that independence numerically.
+    """
+    spec = LimitSpec(FAMILY_POLYGAMMA, numerator_scale, denominator_scale, 0,
+                     derivative_order)
+    return spec.target()
 
 
 class ProbeReport(
@@ -143,6 +136,8 @@ def neville_extrapolate(xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
     """Value at 0 of the polynomial through (xs[j], ys[j])."""
     if len(xs) != len(ys) or not xs:
         raise DomainError("need equally many abscissae and values, at least one")
+    if not all(map(math.isfinite, (*xs, *ys))):
+        raise DomainError(f"abscissae and values must be finite, got {xs}, {ys}")
     if len(set(xs)) != len(xs):
         raise DomainError(f"abscissae must be distinct, got {xs}")
     tab = list(ys)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -398,6 +399,15 @@ class TestLimitCommand:
             assert "at most" in captured.err
             assert captured.out == ""
 
+    @pytest.mark.parametrize("probe", [[], ["--probe"]])
+    def test_gamma_family_rejects_a_derivative_order(self, capsys, probe):
+        code, out, err = run_main(capsys, "limit", "--family", "gamma", "--n",
+                                  "2", "--q", "1", "--k", "1", "--i", "3",
+                                  *probe)
+        assert (code, out) == (1, "")
+        assert err == ("polylim: the gamma-ratio family takes derivative "
+                       "order 0 only, got 3\n")
+
     def test_negative_value_formatting(self, capsys):
         code, out, _ = run_main(capsys, "limit", "--family", "gamma", "--n",
                                 "2", "--q", "1", "--k", "1")
@@ -415,6 +425,29 @@ class TestLimitCommand:
             code, out, _ = run_main(capsys, "limit", "--family", *args)
             assert code == 0
             assert out == text + "\n"
+
+
+# Every third case of the gamma grid (n, q <= 6, k <= 6, i = 0) and the
+# polygamma grid (i <= 5, n, q <= 6, k <= 3), cycling through exact and
+# --probe, CSV and JSON.
+LIMIT_PIN_CASES = [("gamma", 0, n, q, k) for n in range(1, 7) for q in range(1, 7)
+                   for k in range(7)]
+LIMIT_PIN_CASES += [("polygamma", i, n, q, k) for i in range(6) for n in range(1, 7)
+                    for q in range(1, 7) for k in range(4)]
+LIMIT_PIN_VARIANTS = ([], ["--format", "json"], ["--probe"],
+                      ["--probe", "--format", "json"])
+LIMIT_PIN_DIGEST = "3e0360a127df353a0ac23c7bf87b8df131f79d7e5dad5678a063749e233ffc49"
+
+
+class TestLimitPins:
+    def test_grid_digest(self, capsys):
+        digest = hashlib.sha256()
+        for j, (family, i, n, q, k) in enumerate(LIMIT_PIN_CASES[::3]):
+            argv = ["limit", "--family", family, "--i", str(i), "--n", str(n),
+                    "--q", str(q), "--k", str(k), *LIMIT_PIN_VARIANTS[j % 4]]
+            code, out, err = run_main(capsys, *argv)
+            digest.update(f"{argv} {code}\n{out}{err}".encode())
+        assert digest.hexdigest() == LIMIT_PIN_DIGEST
 
 
 class TestVerifyCommand:

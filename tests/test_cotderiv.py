@@ -142,6 +142,11 @@ class TestExpansion:
         # perfbench's tracer counts table builds through cache_info().misses.
         assert expansion.cache_info().maxsize is None
 
+    @pytest.mark.parametrize("max_order", [2.5, True])
+    def test_expansions_up_to_takes_an_integer_order(self, max_order):
+        with pytest.raises(DomainError, match="max_order must be an integer"):
+            cotderiv.expansions_up_to(max_order)
+
     def test_invalid_construction_rejected(self):
         with pytest.raises(DomainError):
             CotDerivExpansion(order=2, sin_exponent=2, harmonics=((1, 2),))

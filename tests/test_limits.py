@@ -10,8 +10,8 @@ from polylim import (
     FAMILY_POLYGAMMA,
     DomainError,
     LimitSpec,
+    PoleGerm,
     ProbeFailureError,
-    gamma_laurent_leading,
     gamma_ratio_limit,
     neville_extrapolate,
     polygamma_ratio_limit,
@@ -87,15 +87,52 @@ class TestPolygammaRatioLimit:
         assert value.denominator == 4
 
 
+def gamma_germ(scale, k):
+    return LimitSpec(FAMILY_GAMMA, scale, 1, k).germs()[0]
+
+
+def polygamma_germ(i, scale, k):
+    return LimitSpec(FAMILY_POLYGAMMA, scale, 1, k, i).germs()[0]
+
+
 class TestGammaLaurentLeading:
+    # The germ of Gamma at scale 1 is its residue (-1)**k / k! at -k.
     def test_examples(self):
-        assert gamma_laurent_leading(0) == 1
-        assert gamma_laurent_leading(1) == -1
-        assert gamma_laurent_leading(3) == Fraction(-1, 6)
+        assert gamma_germ(1, 0) == PoleGerm(1, 1)
+        assert gamma_germ(1, 1) == PoleGerm(-1, 1)
+        assert gamma_germ(1, 3) == PoleGerm(Fraction(-1, 6), 1)
 
     def test_unit_product_with_factorial(self):
         for k in range(0, 21):
-            assert gamma_laurent_leading(k) * math.factorial(k) == (-1) ** k
+            assert gamma_germ(1, k).coefficient * math.factorial(k) == (-1) ** k
+
+
+class TestPoleGerms:
+    def test_numerator_and_denominator(self):
+        spec = LimitSpec(FAMILY_POLYGAMMA, 3, 2, pole_index=1,
+                         derivative_order=2)
+        assert spec.germs() == (PoleGerm(Fraction(-2, 27), 3),
+                                PoleGerm(Fraction(-1, 4), 3))
+        assert spec.target() == Fraction(8, 27)
+
+    def test_each_germ_is_the_leading_term(self):
+        # |eps**p * f(s*(-k + eps)) / coefficient - 1| is O(eps).
+        mpmath = pytest.importorskip("mpmath")
+        eps = mpmath.mpf("1e-12")
+        worst = 0
+        with mpmath.workdps(40):
+            for s in range(1, 7):
+                for k in range(4):
+                    z = s * (eps - k)
+                    pairs = [(gamma_germ(s, k), mpmath.gamma(z))]
+                    pairs += [(polygamma_germ(i, s, k), mpmath.psi(i, z))
+                              for i in range(6)]
+                    for germ, value in pairs:
+                        c = germ.coefficient
+                        leading = eps**germ.pole_order * value
+                        gap = abs(leading * c.denominator / c.numerator - 1)
+                        worst = max(worst, gap)
+        assert worst <= 1e-9
 
 
 class TestNeville:
@@ -118,6 +155,19 @@ class TestNeville:
             neville_extrapolate((0.1, 0.1), (1.0, 2.0))
         with pytest.raises(DomainError, match="distinct"):
             neville_extrapolate((0.0, 0.5, -0.0), (1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ((0.1, 0.2), (math.nan, 2.0)),
+            ((0.1, 0.2), (1.0, math.inf)),
+            ((0.1, math.nan), (1.0, 2.0)),
+            ((-math.inf, 0.2), (1.0, 2.0)),
+        ],
+    )
+    def test_rejects_non_finite_input(self, xs, ys):
+        with pytest.raises(DomainError, match="finite"):
+            neville_extrapolate(xs, ys)
 
 
 class TestProbeLimit:
@@ -184,6 +234,8 @@ class TestProbeLimit:
             LimitSpec(FAMILY_GAMMA, 2, 1, pole_index=1.0)
         with pytest.raises(DomainError):
             LimitSpec(FAMILY_POLYGAMMA, 2, 1, derivative_order=1.5)
+        with pytest.raises(DomainError, match="gamma-ratio family.* got 3"):
+            spec_for(FAMILY_GAMMA, 2, 1, k=1, i=3)
 
     def test_spec_is_an_immutable_record(self):
         spec = LimitSpec(FAMILY_GAMMA, 3, 2)
