@@ -24,7 +24,6 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import Iterator
 
 from .errors import (
@@ -119,6 +118,23 @@ def _harmonic_index(order, multiplier, unified: bool = False) -> tuple[int, int]
     return p, q
 
 
+def _alternating_sum(n: int, a: int, power: int, terms: int) -> int:
+    """sum_{l < terms} (-1)**l * C(n, l) * (a - l)**power, exactly.
+
+    The binomial is carried from term to term, C(n, l+1) = C(n, l) * (n-l)
+    // (l+1), which is exact because the product is C(n, l+1) * (l+1).
+    """
+    total = 0
+    binom = 1
+    for ell in range(terms):
+        if ell % 2:
+            total -= binom * (a - ell) ** power
+        else:
+            total += binom * (a - ell) ** power
+        binom = binom * (n - ell) // (ell + 1)
+    return total
+
+
 def coeff(order: int, multiplier: int) -> int:
     """Exact integer coefficient of cos(multiplier * x) in cot^(order).
 
@@ -132,21 +148,15 @@ def coeff(order: int, multiplier: int) -> int:
     if p % 2:
         n = (p + 1) // 2
         if q == 0:
-            return 2 * n * sum(
-                (-1) ** (ell + 1) * comb(2 * n - 1, ell) * (n - ell - 1) ** (2 * n - 2)
-                for ell in range(n - 1)
-            )
+            # 2n * sum_{l<n-1} (-1)**(l+1) C(2n-1, l) (n-l-1)**(2n-2)
+            return -2 * n * _alternating_sum(2 * n - 1, n - 1, 2 * n - 2, n - 1)
+        # 2 * sum_{l<n-i} (-1)**(l+1) C(2n, l) (n-i-l)**(2n-1), i = q/2
         i = q // 2
-        return 2 * sum(
-            (-1) ** (ell + 1) * comb(2 * n, ell) * (n - i - ell) ** (2 * n - 1)
-            for ell in range(n - i)
-        )
+        return -2 * _alternating_sum(2 * n, n - i, 2 * n - 1, n - i)
+    # 2 * sum_{l<n-i} (-1)**l C(2n+1, l) (n-i-l)**(2n), n = p/2, i = (q-1)/2
     n = p // 2
     i = (q - 1) // 2
-    return 2 * sum(
-        (-1) ** ell * comb(2 * n + 1, ell) * (n - i - ell) ** (2 * n)
-        for ell in range(n - i)
-    )
+    return 2 * _alternating_sum(2 * n + 1, n - i, 2 * n, n - i)
 
 
 def coeff_unified(order: int, multiplier: int) -> int:
@@ -157,11 +167,10 @@ def coeff_unified(order: int, multiplier: int) -> int:
     so that column stays with the piecewise formulas.
     """
     p, q = _harmonic_index(order, multiplier, unified=True)
+    # (-1)**p * 2 * sum_{l<=m} (-1)**l C(p+1, l) (m-l+1)**p
     m = (p - q - 1) // 2
     sign = -1 if p % 2 else 1
-    return sign * 2 * sum(
-        (-1) ** ell * comb(p + 1, ell) * (m - ell + 1) ** p for ell in range(m + 1)
-    )
+    return sign * 2 * _alternating_sum(p + 1, m + 1, p, m + 1)
 
 
 # _ROWS[p][j] = b[p, j]; row p has length p + 2 and starts from
@@ -176,11 +185,11 @@ def _numerator_row(order: int) -> list[int]:
     N_{p+1} = N_p' sin x - (p+1) N_p cos x.  Rewriting each product as a sum
     of cosines, with cos(-x) folded into cos(x), turns that into
 
-        2 b[p+1, |j-1|] += (-j-(p+1)) b[p, j]
-        2 b[p+1, j+1]   += (j-(p+1)) b[p, j]
+        b[p+1, |j-1|] += -((j+p+1) // 2) * b[p, j]
+        b[p+1, j+1]   += ((j-p-1) // 2) * b[p, j]
 
-    Row p holds only multipliers j with j + p odd, so both factors are even
-    and the halving is exact.
+    Row p holds only multipliers j with j + p odd, so both factors j ± (p+1)
+    are even and halving them is exact.
     """
     while len(_ROWS) <= order:
         p = len(_ROWS) - 1
@@ -188,9 +197,9 @@ def _numerator_row(order: int) -> list[int]:
         nxt = [0] * (p + 3)
         for j in range(1 - p % 2, p + 2, 2):
             b = row[j]
-            nxt[abs(j - 1)] -= (j + p + 1) * b
-            nxt[j + 1] += (j - p - 1) * b
-        _ROWS.append([v // 2 for v in nxt])
+            nxt[abs(j - 1)] -= (j + p + 1) // 2 * b
+            nxt[j + 1] += (j - p - 1) // 2 * b
+        _ROWS.append(nxt)
     return _ROWS[order]
 
 
@@ -202,7 +211,7 @@ def expansion(order: int) -> CotDerivExpansion:
         raise DomainError(f"derivative order must be >= 1, got {order}")
     row = _numerator_row(order)
     start = 0 if order % 2 else 1
-    harmonics = tuple((j, row[j]) for j in range(start, order, 2))
+    harmonics = tuple(zip(range(start, order, 2), row[start:order:2]))
     return CotDerivExpansion(order=order, sin_exponent=order + 1, harmonics=harmonics)
 
 
@@ -366,11 +375,12 @@ def harmonics_from_polynomial(
     rational arithmetic.  This route never touches the harmonic-coefficient
     formulas, so agreement with them is a genuine cross-check.
     """
+    order = as_index(order, "order")
     if order < 1:
-        raise DomainError(f"derivative order must be >= 1, got {order}")
+        raise DomainError(f"derivative order must be >= 1, got {_shown(order)}")
     if poly.degree != order + 1:
         raise DomainError(
-            f"polynomial degree {poly.degree} does not match order {order}"
+            f"polynomial degree {poly.degree} does not match order {_shown(order)}"
         )
     total_cos: dict[int, Fraction] = {}
     total_sin: dict[int, Fraction] = {}

@@ -3,7 +3,10 @@
 The gamma ratio Gamma(n*z)/Gamma(q*z) and the polygamma ratios
 psi^(i)(n*z)/psi^(i)(q*z) approach exact rational values as z approaches a
 non-positive integer -k.  Every limit is the quotient of two pole germs, the
-leading Laurent terms of numerator and denominator, in exact arithmetic.
+leading Laurent terms of numerator and denominator.  ``LimitSpec.germs()``
+returns the two germs; ``LimitSpec.target()`` evaluates the closed form of
+their quotient, (-1)**((n-q)*k) * q*(q*k)! / (n*(n*k)!) with the factorials'
+ratio as a falling factorial, or (q/n)**(i+1), in exact arithmetic.
 Independently, each ratio is sampled on the fixed geometric grid
 z = -k + EPS0 * 2**-j and extrapolated to eps = 0 with Neville's algorithm,
 which is justified because the two poles have equal order: the ratio is
@@ -15,7 +18,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .cotderiv import POLE_GUARD
+from .cotderiv import POLE_GUARD, _shown
 from .errors import DomainError, PoleError, ProbeFailureError, as_index
 from .polygamma import polygamma
 
@@ -41,12 +44,29 @@ def _gamma_germ(s: int, k: int, i: int) -> PoleGerm:
     return PoleGerm(Fraction((-1) ** (s * k), s * math.factorial(s * k)), 1)
 
 
+def _gamma_quotient(n: int, q: int, k: int, i: int) -> Fraction:
+    # (-1)**(n*k) / (n * (n*k)!) over (-1)**(q*k) / (q * (q*k)!), with the
+    # larger factorial over the smaller one as a falling factorial.
+    sign = -1 if (n - q) * k % 2 else 1
+    if n >= q:
+        return Fraction(sign * q, n * math.perm(n * k, (n - q) * k))
+    return Fraction(sign * q * math.perm(q * k, (q - n) * k), n)
+
+
 def _polygamma_germ(s: int, k: int, i: int) -> PoleGerm:
     # psi^(i)(-m + d) ~ (-1)**(i+1) * i! / d**(i+1) with d = s*eps, at every m.
     return PoleGerm(Fraction((-1) ** (i + 1) * math.factorial(i), s ** (i + 1)), i + 1)
 
 
+def _polygamma_quotient(n: int, q: int, k: int, i: int) -> Fraction:
+    # The sign and i! cancel, leaving (1/n**(i+1)) / (1/q**(i+1)).
+    return Fraction(q ** (i + 1), n ** (i + 1))
+
+
+# Each family's germ and the closed form of its germ quotient, both as
+# functions of (scale or scales, pole index, derivative order).
 _GERMS = {FAMILY_GAMMA: _gamma_germ, FAMILY_POLYGAMMA: _polygamma_germ}
+_QUOTIENTS = {FAMILY_GAMMA: _gamma_quotient, FAMILY_POLYGAMMA: _polygamma_quotient}
 
 
 class LimitSpec(
@@ -73,11 +93,16 @@ class LimitSpec(
         pole_index = as_index(pole_index, "pole_index")
         derivative_order = as_index(derivative_order, "derivative_order")
         if numerator_scale < 1 or denominator_scale < 1:
-            raise DomainError("scales must be >= 1")
+            raise DomainError(
+                f"scales must be >= 1, got n={_shown(numerator_scale)}, "
+                f"q={_shown(denominator_scale)}"
+            )
         if pole_index < 0:
-            raise DomainError("pole index must be >= 0")
+            raise DomainError(f"pole index must be >= 0, got {_shown(pole_index)}")
         if derivative_order < 0:
-            raise DomainError("derivative order must be >= 0")
+            raise DomainError(
+                f"derivative order must be >= 0, got {_shown(derivative_order)}"
+            )
         if family == FAMILY_GAMMA and derivative_order:
             raise DomainError(
                 f"the {family} family takes derivative order 0 only, "
@@ -92,9 +117,13 @@ class LimitSpec(
         return germ(self.numerator_scale, k, i), germ(self.denominator_scale, k, i)
 
     def target(self) -> Fraction:
-        """The exact limit: the quotient of the two germ coefficients."""
-        num, den = self.germs()
-        return num.coefficient / den.coefficient
+        """The exact limit: the quotient of the two germ coefficients.
+
+        Computed from the quotient's closed form, so neither germ's
+        factorial is built.
+        """
+        family, n, q, k, i = self
+        return _QUOTIENTS[family](n, q, k, i)
 
 
 def gamma_ratio_limit(

@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 from polylim import (
+    FAMILY_GAMMA,
     FAMILY_POLYGAMMA,
     DomainError,
     LimitSpec,
+    cotderiv,
     expansion,
     limits,
     polygamma,
@@ -408,6 +410,19 @@ class TestLimitCommand:
         assert err == ("polylim: the gamma-ratio family takes derivative "
                        "order 0 only, got 3\n")
 
+    @pytest.mark.parametrize("args, message", [
+        (("gamma", "--n", "0", "--q", "1", "--k", "1"),
+         "scales must be >= 1, got n=0, q=1"),
+        (("gamma", "--n", "2", "--q", "1", "--k", "-1"),
+         "pole index must be >= 0, got -1"),
+        (("polygamma", "--i", "-1", "--n", "2", "--q", "1"),
+         "derivative order must be >= 0, got -1"),
+    ])
+    def test_range_errors_name_the_values(self, capsys, args, message):
+        assert run_main(capsys, "limit", "--family", *args) == (
+            1, "", f"polylim: {message}\n"
+        )
+
     def test_negative_value_formatting(self, capsys):
         code, out, _ = run_main(capsys, "limit", "--family", "gamma", "--n",
                                 "2", "--q", "1", "--k", "1")
@@ -508,6 +523,27 @@ class TestVerifyChecksCanFail:
         result = verify._check_reflection_identity()
         assert result.name == "reflection-identity"
         assert not result.passed
+
+    def test_unified_agreement_sees_one_wrong_coefficient(self, monkeypatch):
+        exact = cotderiv.coeff
+        monkeypatch.setattr(
+            cotderiv,
+            "coeff",
+            lambda p, q: exact(p, q) + ((p, q) == (17, 6)),
+        )
+        result = verify._check_unified_agreement()
+        assert result.name == "unified-piecewise-agreement"
+        assert not result.passed
+        assert result.detail.startswith("(17,6): table != piecewise")
+
+    def test_gamma_probe_grid_sees_a_dropped_sign(self, monkeypatch):
+        exact = limits._QUOTIENTS[FAMILY_GAMMA]
+        monkeypatch.setitem(limits._QUOTIENTS, FAMILY_GAMMA,
+                            lambda *args: abs(exact(*args)))
+        results = {r.name: r for r in verify.limits_suite()}
+        # exact-reciprocity multiplies two limits, so it misses the sign.
+        assert results["exact-reciprocity"].passed
+        assert not results["gamma-probe-grid"].passed
 
     def test_pole_independence_sees_one_shifted_extrapolation(self, monkeypatch):
         exact = limits.probe_limit

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -156,6 +157,39 @@ class TestExpansion:
             CotDerivExpansion(3, 4, ((1, 2),))
 
 
+# sha256 digests of exact values, recorded before the point formulas and the
+# recurrence were rewritten for speed; each value enters as hex() plus "\n".
+COEFF_PIN_ORDERS = (*range(1, 121), 219, 220)
+COEFF_PIN_DIGEST = "4aa17286fa0870db02b6bc7b18ddd04bb4ca17e2d5e65f39b1e195eaa57f0d3e"
+EXPANSION_PIN_DIGEST = "2b967d72bd26e346ff842487bd737b0b009cc568e719a823016b9b2ecbea92b0"
+
+
+def hex_digest(values):
+    digest = hashlib.sha256()
+    for value in values:
+        digest.update(f"{hex(value)}\n".encode())
+    return digest.hexdigest()
+
+
+class TestExactnessPins:
+    def test_point_formulas_digest(self):
+        # Every b[p,j] with p <= 120 or p in {219, 220}: coeff, then
+        # coeff_unified where the multiplier is nonzero.
+        def values():
+            for p in COEFF_PIN_ORDERS:
+                for q in range(1 - p % 2, p, 2):
+                    yield coeff(p, q)
+                    if q:
+                        yield coeff_unified(p, q)
+
+        assert hex_digest(values()) == COEFF_PIN_DIGEST
+
+    def test_recurrence_tables_digest(self):
+        assert hex_digest(
+            b for p in range(1, 221) for _, b in expansion(p).harmonics
+        ) == EXPANSION_PIN_DIGEST
+
+
 class TestEvalCotDeriv:
     def test_plain_cotangent(self):
         x = 1.1
@@ -252,6 +286,22 @@ class TestPolynomialOracle:
     def test_extraction_rejects_degree_mismatch(self):
         with pytest.raises(DomainError):
             harmonics_from_polynomial(3, oracle_expansion(5))
+
+    # -10**5000 has more digits than int-to-str conversion allows, so the
+    # ids stand for the orders.
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            (True, "order must be an integer, got True"),
+            ("3", "order must be an integer, got '3'"),
+            (-(10**5000), "order must be >= 1, got -<16610-bit integer>"),
+        ],
+        ids=["bool", "str", "huge"],
+    )
+    def test_extraction_takes_an_integer_order(self, order, message):
+        with pytest.raises(DomainError) as excinfo:
+            harmonics_from_polynomial(order, oracle_expansion(1))
+        assert str(excinfo.value).endswith(message)
 
     def test_evaluate_is_horner(self):
         poly = CotPolynomial(coefficients=(1, -2, 3))

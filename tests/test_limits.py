@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -135,6 +136,46 @@ class TestPoleGerms:
         assert worst <= 1e-9
 
 
+# sha256 digests of exact limits, recorded before target() took the closed
+# form of the germ quotient; each value enters as hex(numerator)/hex(denominator).
+GAMMA_PIN_DIGEST = "903b576efb1070f6d83748d9fc73097afbdd951be073f77fd5802eee2122fea4"
+POLYGAMMA_PIN_DIGEST = "f86cd57e0cfc00d82e6bbbf3b6ece20295c492fe256636dc5db5c287442c1491"
+
+
+def fraction_digest(values):
+    digest = hashlib.sha256()
+    for value in values:
+        digest.update(f"{hex(value.numerator)}/{hex(value.denominator)}\n".encode())
+    return digest.hexdigest()
+
+
+class TestExactnessPins:
+    def test_gamma_grid_digest(self):
+        assert fraction_digest(
+            gamma_ratio_limit(n, q, k)
+            for n in range(1, 7) for q in range(1, 7) for k in range(0, 301, 7)
+        ) == GAMMA_PIN_DIGEST
+
+    def test_polygamma_grid_digest(self):
+        assert fraction_digest(
+            polygamma_ratio_limit(i, n, q)
+            for i in range(40) for n in range(1, 13) for q in range(1, 13)
+        ) == POLYGAMMA_PIN_DIGEST
+
+    @pytest.mark.parametrize("family, cases", [
+        (FAMILY_GAMMA, [(n, q, k, 0) for n in range(1, 7) for q in range(1, 7)
+                        for k in (0, 1, 2, 5, 13, 40, 150)]),
+        (FAMILY_POLYGAMMA, [(n, q, k, i) for n in range(1, 9) for q in range(1, 9)
+                            for k in (0, 3) for i in (0, 1, 2, 7, 30)]),
+    ])
+    def test_target_is_the_germ_quotient(self, family, cases):
+        for case in cases:
+            spec = LimitSpec(family, *case)
+            num, den = spec.germs()
+            assert num.pole_order == den.pole_order
+            assert spec.target() == num.coefficient / den.coefficient, spec
+
+
 class TestNeville:
     def test_constant(self):
         xs = (1.0, 0.5, 0.25)
@@ -236,6 +277,19 @@ class TestProbeLimit:
             LimitSpec(FAMILY_POLYGAMMA, 2, 1, derivative_order=1.5)
         with pytest.raises(DomainError, match="gamma-ratio family.* got 3"):
             spec_for(FAMILY_GAMMA, 2, 1, k=1, i=3)
+
+    @pytest.mark.parametrize("args, message", [
+        ((FAMILY_GAMMA, 0, 1, 1), "scales must be >= 1, got n=0, q=1"),
+        ((FAMILY_GAMMA, 2, -3), "scales must be >= 1, got n=2, q=-3"),
+        ((FAMILY_GAMMA, 2, 1, -1), "pole index must be >= 0, got -1"),
+        ((FAMILY_POLYGAMMA, 2, 1, 0, -1), "derivative order must be >= 0, got -1"),
+        ((FAMILY_POLYGAMMA, 2, 1, -10**5000),
+         "pole index must be >= 0, got -<16610-bit integer>"),
+    ], ids=["n", "q", "k", "i", "huge-k"])
+    def test_spec_errors_name_the_values(self, args, message):
+        with pytest.raises(DomainError) as excinfo:
+            LimitSpec(*args)
+        assert str(excinfo.value) == message
 
     def test_spec_is_an_immutable_record(self):
         spec = LimitSpec(FAMILY_GAMMA, 3, 2)
