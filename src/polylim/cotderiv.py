@@ -32,6 +32,8 @@ from .errors import (
     InvalidHarmonicError,
     PoleError,
     as_index,
+    as_real,
+    shown,
 )
 
 # |sin x| below this is treated as sitting on a pole of cot and its
@@ -96,24 +98,17 @@ class CotPolynomial(namedtuple("CotPolynomial", "coefficients")):
 
 def _harmonic_index(order, multiplier, unified: bool = False) -> tuple[int, int]:
     """Validate an (order, multiplier) pair of the closed form; return ints."""
-    p = as_index(order, "order")
-    q = as_index(multiplier, "multiplier")
-    if p < 1:
-        raise DomainError(f"derivative order must be >= 1, got {p}")
-    if unified and q == 0:
-        raise DomainError(
-            "unified formula is defined only for 0 < multiplier < order"
-        )
-    if q < 0:
-        raise DomainError(f"multiplier must be >= 0, got {q}")
+    p = as_index(order, "order", 1)
+    q = as_index(multiplier, "multiplier", 1 if unified else 0)
     if (p + q) % 2 == 0:
         raise InvalidHarmonicError(
-            f"no cos({q}x) harmonic in the order-{p} derivative: "
+            f"no cos({shown(q)}x) harmonic in the order-{shown(p)} derivative: "
             "order and multiplier must have opposite parity"
         )
     if q >= p:
         raise HarmonicRangeError(
-            f"multiplier {q} out of range for order {p} (need multiplier < order)"
+            f"multiplier {shown(q)} out of range for order {shown(p)} "
+            "(need multiplier < order)"
         )
     return p, q
 
@@ -206,9 +201,7 @@ def _numerator_row(order: int) -> list[int]:
 @lru_cache(maxsize=None)
 def expansion(order: int) -> CotDerivExpansion:
     """Full closed form of cot^(order) with all harmonics populated."""
-    order = as_index(order, "order")
-    if order < 1:
-        raise DomainError(f"derivative order must be >= 1, got {order}")
+    order = as_index(order, "order", 1)
     row = _numerator_row(order)
     start = 0 if order % 2 else 1
     harmonics = tuple(zip(range(start, order, 2), row[start:order:2]))
@@ -225,40 +218,30 @@ def _checked_quotient(num: float, denom: float, order: int, label: str, arg) -> 
     value = num / denom if denom else math.inf
     if not math.isfinite(value):
         raise DomainError(
-            f"cot^({order}) at {label}{arg} exceeds double precision range"
+            f"cot^({order}) at {label}{shown(arg)} exceeds double precision range"
         )
     return value
 
 
-def _shown(value) -> str:
-    """str(value), or the size of an int too long for int-to-str conversion."""
-    try:
-        return str(value)
-    except ValueError:  # beyond sys.get_int_max_str_digits() digits
-        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
-
-
-def _eval_order(order) -> int:
+def _eval_order(order, minimum: int = 0) -> int:
     """Validate the order of a double-precision evaluation; return an int."""
-    order = as_index(order, "order")
-    if 0 <= order <= MAX_EVAL_ORDER:
+    order = as_index(order, "order", minimum)
+    if order <= MAX_EVAL_ORDER:
         return order
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {_shown(order)}")
     raise DomainError(
-        f"order {_shown(order)} exceeds double precision range (max {MAX_EVAL_ORDER})"
+        f"order {shown(order)} exceeds double precision range (max {MAX_EVAL_ORDER})"
     )
 
 
 def eval_cot_deriv(order: int, x: float) -> float:
     """Evaluate cot^(order) at x (radians) in double precision."""
     order = _eval_order(order)
-    if not abs(x) <= _DOUBLE_MAX:
-        raise DomainError(f"argument must be finite, got {_shown(x)}")
+    if not abs(as_real(x, "argument")) <= _DOUBLE_MAX:
+        raise DomainError(f"argument must be finite, got {shown(x)}")
     s = math.sin(x)
     if abs(s) < POLE_GUARD:
         raise PoleError(
-            f"x={x} is within the pole guard of a multiple of pi",
+            f"x={shown(x)} is within the pole guard of a multiple of pi",
             location=math.pi * round(x / math.pi),
         )
     if order == 0:
@@ -276,13 +259,13 @@ def eval_cot_deriv_pi(order: int, z: float) -> float:
     the polygamma reflection path and by ``reflection_residual``.
     """
     order = _eval_order(order)
-    if not abs(z) < 2.0**52:
-        raise DomainError(f"argument out of reducible range: {_shown(z)}")
+    if not abs(as_real(z, "argument")) < 2.0**52:
+        raise DomainError(f"argument out of reducible range: {shown(z)}")
     m = round(z)
     d = z - m
     s = math.sin(math.pi * d)
     if abs(s) < POLE_GUARD:
-        raise PoleError(f"pi*{z} is within the pole guard of a pole", location=m)
+        raise PoleError(f"pi*{shown(z)} is within the pole guard of a pole", location=m)
     if order == 0:
         # cot has period pi, so the integer part drops out entirely.
         return math.cos(math.pi * d) / s
@@ -302,9 +285,7 @@ def oracle_expansion(order: int) -> CotPolynomial:
     Base case is the identity polynomial t; each step applies
     P(t) -> P'(t) * (-1 - t**2), which is d/dx applied through t = cot x.
     """
-    order = as_index(order, "order")
-    if order < 0:
-        raise DomainError(f"derivative order must be >= 0, got {order}")
+    order = as_index(order, "order", 0)
     cur = [0, 1]
     for _ in range(order):
         deriv = [(i + 1) * c for i, c in enumerate(cur[1:])]
@@ -375,12 +356,10 @@ def harmonics_from_polynomial(
     rational arithmetic.  This route never touches the harmonic-coefficient
     formulas, so agreement with them is a genuine cross-check.
     """
-    order = as_index(order, "order")
-    if order < 1:
-        raise DomainError(f"derivative order must be >= 1, got {_shown(order)}")
+    order = as_index(order, "order", 1)
     if poly.degree != order + 1:
         raise DomainError(
-            f"polynomial degree {poly.degree} does not match order {_shown(order)}"
+            f"polynomial degree {poly.degree} does not match order {shown(order)}"
         )
     total_cos: dict[int, Fraction] = {}
     total_sin: dict[int, Fraction] = {}
@@ -409,7 +388,5 @@ def expansions_up_to(max_order: int) -> Iterator[CotDerivExpansion]:
     The order is checked at the call, before any table is built, so a caller
     that streams the tables fails before writing anything.
     """
-    max_order = as_index(max_order, "max_order")
-    if max_order < 1:
-        raise DomainError(f"max order must be >= 1, got {max_order}")
+    max_order = as_index(max_order, "max_order", 1)
     return map(expansion, range(1, max_order + 1))

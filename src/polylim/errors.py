@@ -1,6 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and the argument checks shared across the package."""
 from __future__ import annotations
 
+import numbers
 import operator
 
 
@@ -52,16 +53,45 @@ class ProbeFailureError(PolylimError, RuntimeError):
         self.z = z
 
 
-def as_index(value, name: str) -> int:
+def shown(value, text=str) -> str:
+    """text(value) for an error message, even with an int too long to convert."""
+    try:
+        return text(value)
+    except ValueError:  # an int beyond sys.get_int_max_str_digits() digits
+        if not isinstance(value, int):  # a Fraction or a tuple holding one
+            return f"<{type(value).__name__} too long to print>"
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+
+
+def as_index(value, name: str, minimum: int | None = None) -> int:
     """Coerce an integral argument (any type with ``__index__``) to int.
 
     Floats are rejected even when integral: parity logic downstream must
     never silently truncate.  ``bool`` is rejected too: ``True`` as an order
-    or a multiplier is a caller's mistake, not the integer 1.
+    or a multiplier is a caller's mistake, not the integer 1.  A value below
+    ``minimum`` is rejected, named with its underscores read as spaces.
     """
     if isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+        raise DomainError(
+            f"{name} must be an integer, got {shown(value, repr)}"
+        ) from None
+    if minimum is not None and index < minimum:
+        raise DomainError(
+            f"{name.replace('_', ' ')} must be >= {minimum}, got {shown(index)}"
+        )
+    return index
+
+
+def as_real(value, name: str):
+    """Return a real argument (any ``numbers.Real``) unchanged.
+
+    ``float``, the common case, is tested by type first: the isinstance test
+    costs more than ten times as much.
+    """
+    if type(value) is float or isinstance(value, numbers.Real):
+        return value
+    raise DomainError(f"{name} must be a real number, got {shown(value, repr)}")

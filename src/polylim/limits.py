@@ -18,8 +18,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .cotderiv import POLE_GUARD, _shown
-from .errors import DomainError, PoleError, ProbeFailureError, as_index
+from .cotderiv import _DOUBLE_MAX, POLE_GUARD
+from .errors import DomainError, PoleError, ProbeFailureError, as_index, as_real, shown
 from .polygamma import polygamma
 
 FAMILY_GAMMA = "gamma-ratio"
@@ -90,23 +90,17 @@ class LimitSpec(
             raise DomainError(f"unknown limit family: {family!r}")
         numerator_scale = as_index(numerator_scale, "numerator_scale")
         denominator_scale = as_index(denominator_scale, "denominator_scale")
-        pole_index = as_index(pole_index, "pole_index")
-        derivative_order = as_index(derivative_order, "derivative_order")
         if numerator_scale < 1 or denominator_scale < 1:
             raise DomainError(
-                f"scales must be >= 1, got n={_shown(numerator_scale)}, "
-                f"q={_shown(denominator_scale)}"
+                f"scales must be >= 1, got n={shown(numerator_scale)}, "
+                f"q={shown(denominator_scale)}"
             )
-        if pole_index < 0:
-            raise DomainError(f"pole index must be >= 0, got {_shown(pole_index)}")
-        if derivative_order < 0:
-            raise DomainError(
-                f"derivative order must be >= 0, got {_shown(derivative_order)}"
-            )
+        pole_index = as_index(pole_index, "pole_index", 0)
+        derivative_order = as_index(derivative_order, "derivative_order", 0)
         if family == FAMILY_GAMMA and derivative_order:
             raise DomainError(
                 f"the {family} family takes derivative order 0 only, "
-                f"got {derivative_order}"
+                f"got {shown(derivative_order)}"
             )
         return super().__new__(cls, family, numerator_scale, denominator_scale,
                                pole_index, derivative_order)
@@ -165,10 +159,13 @@ def neville_extrapolate(xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
     """Value at 0 of the polynomial through (xs[j], ys[j])."""
     if len(xs) != len(ys) or not xs:
         raise DomainError("need equally many abscissae and values, at least one")
-    if not all(map(math.isfinite, (*xs, *ys))):
-        raise DomainError(f"abscissae and values must be finite, got {xs}, {ys}")
+    for value in (*xs, *ys):
+        if not abs(as_real(value, "each abscissa and value")) <= _DOUBLE_MAX:
+            raise DomainError(
+                f"abscissae and values must be finite, got {shown(xs)}, {shown(ys)}"
+            )
     if len(set(xs)) != len(xs):
-        raise DomainError(f"abscissae must be distinct, got {xs}")
+        raise DomainError(f"abscissae must be distinct, got {shown(xs)}")
     tab = list(ys)
     for m in range(1, len(xs)):
         for j in range(len(xs) - 1, m - 1, -1):

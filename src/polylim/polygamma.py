@@ -23,8 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._kernels import shifted_power_sum
-from .cotderiv import _DOUBLE_MAX, _eval_order, _shown, eval_cot_deriv_pi
-from .errors import DomainError, PoleError, TableCapacityError, as_index
+from .cotderiv import _DOUBLE_MAX, _eval_order, eval_cot_deriv_pi
+from .errors import DomainError, PoleError, TableCapacityError, as_index, as_real, shown
 
 # Shift target for the recurrence region; arguments at or above this go
 # straight to the asymptotic series.
@@ -67,6 +67,7 @@ class BernoulliTable(namedtuple("BernoulliTable", "values")):
 
     @classmethod
     def build(cls, size: int) -> "BernoulliTable":
+        size = as_index(size, "size", 0)
         # Tangent numbers T_1, T_2, T_3, ... = 1, 2, 16, ... by the integer
         # recurrence of Knuth and Buckholtz (Math. Comp. 21, 1967), then
         # B_2k = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1)).  The odd B past
@@ -104,12 +105,10 @@ def _table() -> BernoulliTable:
 
 def bernoulli(index: int) -> Fraction:
     """Exact Bernoulli number B_index under the B1 = -1/2 convention."""
-    index = as_index(index, "index")
-    if index < 0:
-        raise DomainError(f"index must be >= 0, got {index}")
+    index = as_index(index, "index", 0)
     if index > BERNOULLI_SIZE:
         raise TableCapacityError(
-            f"index {index} exceeds the configured table size {BERNOULLI_SIZE}"
+            f"index {shown(index)} exceeds the configured table size {BERNOULLI_SIZE}"
         )
     return _table().values[index]
 
@@ -189,15 +188,15 @@ def _positive(order: int, x: float) -> tuple[float, int]:
 
 def _out_of_range(order: int, x: float) -> DomainError:
     return DomainError(
-        f"polygamma of order {order} at x={x} exceeds double precision range"
+        f"polygamma of order {order} at x={shown(x)} exceeds double precision range"
     )
 
 
 def polygamma(order: int, x: float) -> PolygammaResult:
     """Evaluate the order-th polygamma at real x with path bookkeeping."""
     order = _eval_order(order)
-    if not abs(x) <= _DOUBLE_MAX:
-        raise DomainError(f"argument must be finite, got {_shown(x)}")
+    if not abs(as_real(x, "argument")) <= _DOUBLE_MAX:
+        raise DomainError(f"argument must be finite, got {shown(x)}")
     try:
         if x >= 0.5:
             value, shifts = _positive(order, x)
@@ -206,7 +205,7 @@ def polygamma(order: int, x: float) -> PolygammaResult:
             nearest = round(x)
             if abs(x - nearest) < POLE_PROXIMITY:
                 raise PoleError(
-                    f"x={x} is within {POLE_PROXIMITY} of the pole at {nearest}",
+                    f"x={shown(x)} is within {POLE_PROXIMITY} of the pole at {nearest}",
                     location=nearest,
                 )
             # psi^(n)(x) = (-1)^n psi^(n)(1 - x) - pi^(n+1) cot^(n)(pi x)
@@ -224,7 +223,7 @@ def polygamma(order: int, x: float) -> PolygammaResult:
 
 
 def polygamma_series_oracle(order: int, x: float) -> float:
-    """Direct series evaluation of the order-th polygamma for x > 0.
+    """Direct series evaluation of the order-th polygamma for x > 0, order >= 1.
 
     Partial sum of (-1)^(order+1) * order! * sum_k (x+k)^-(order+1) over
     ORACLE_TERMS summands, plus the Euler-Maclaurin remainder (DLMF 2.10.1)
@@ -237,16 +236,11 @@ def polygamma_series_oracle(order: int, x: float) -> float:
     few ulp wherever the terms stay inside double range.  The Bernoulli
     coefficients 1/12 and 1/720 are written out so that no code is shared
     with the evaluation paths.  Intended as an independent check, not for
-    production use.
+    production use.  At order 0 the series diverges.
     """
-    order = _eval_order(order)
-    if order < 1:
-        raise DomainError(
-            "series oracle requires order >= 1 (the digamma check uses the "
-            "harmonic construction instead)"
-        )
-    if not 0 < x <= _DOUBLE_MAX:
-        raise DomainError(f"argument must be positive and finite, got {_shown(x)}")
+    order = _eval_order(order, 1)
+    if not 0 < as_real(x, "argument") <= _DOUBLE_MAX:
+        raise DomainError(f"argument must be positive and finite, got {shown(x)}")
     s = order + 1
     a = x + ORACLE_TERMS
     try:
@@ -276,8 +270,8 @@ def reflection_residual(order: int, z: float) -> float:
     through reflection, so a small residual genuinely verifies the identity.
     """
     order = _eval_order(order)
-    if not (0.0 < z < 1.0):
-        raise DomainError(f"z must lie strictly inside (0, 1), got {_shown(z)}")
+    if not (0.0 < as_real(z, "z") < 1.0):
+        raise DomainError(f"z must lie strictly inside (0, 1), got {shown(z)}")
     try:
         left = _positive(order, 1.0 - z)[0]
         right = _positive(order, z)[0]
@@ -289,7 +283,7 @@ def reflection_residual(order: int, z: float) -> float:
         residual = math.inf
     if not math.isfinite(residual):
         raise DomainError(
-            f"reflection residual of order {order} at z={z} exceeds double "
+            f"reflection residual of order {order} at z={shown(z)} exceeds double "
             "precision range"
         )
     return residual

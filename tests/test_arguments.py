@@ -1,0 +1,196 @@
+"""The argument contract shared by every public entry point.
+
+Integer arguments pass through ``errors.as_index`` and real ones through
+``errors.as_real``.  A wrong type, a value below its bound or an int too long
+to print raises ``DomainError`` (or a subclass of it), never ``TypeError`` or
+``ValueError``.  No case passes a huge *valid* order, such as
+``expansion(H)``: that would start unbounded work.
+"""
+from decimal import Decimal
+from fractions import Fraction
+
+import pytest
+
+from polylim import (
+    FAMILY_POLYGAMMA,
+    BernoulliTable,
+    DomainError,
+    LimitSpec,
+    bernoulli,
+    coeff,
+    coeff_unified,
+    eval_cot_deriv,
+    eval_cot_deriv_pi,
+    expansion,
+    gamma_ratio_limit,
+    harmonics_from_polynomial,
+    neville_extrapolate,
+    oracle_expansion,
+    polygamma,
+    polygamma_ratio_limit,
+    polygamma_series_oracle,
+    reflection_residual,
+)
+from polylim import cotderiv
+
+# More digits than int-to-str conversion allows, so a message that formats
+# it with a plain f-string raises ValueError.
+H = 10**5000
+HUGE = "<16610-bit integer>"
+
+# Calls whose error message echoes an int too long to convert to text.
+HUGE_INT_CALLS = {
+    "expansion(-H)": lambda: expansion(-H),
+    "coeff(-H, 1)": lambda: coeff(-H, 1),
+    "coeff(3, -H)": lambda: coeff(3, -H),
+    "coeff(3, H)": lambda: coeff(3, H),
+    "coeff(H, 0)": lambda: coeff(H, 0),
+    "coeff_unified(-H, 1)": lambda: coeff_unified(-H, 1),
+    "coeff_unified(3, -H)": lambda: coeff_unified(3, -H),
+    "coeff_unified(H, 2)": lambda: coeff_unified(H, 2),
+    "oracle_expansion(-H)": lambda: oracle_expansion(-H),
+    "expansions_up_to(-H)": lambda: cotderiv.expansions_up_to(-H),
+    "bernoulli(-H)": lambda: bernoulli(-H),
+    "bernoulli(H)": lambda: bernoulli(H),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_INT_CALLS.values(), ids=HUGE_INT_CALLS)
+def test_huge_int_is_domain_error(call):
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert HUGE in str(excinfo.value)
+
+
+# Every integer argument of a public entry point, as a call that passes the
+# value under test there and valid values everywhere else.
+INTEGER_ARGUMENTS = {
+    "expansion": expansion,
+    "coeff.order": lambda v: coeff(v, 0),
+    "coeff.multiplier": lambda v: coeff(3, v),
+    "coeff_unified.order": lambda v: coeff_unified(v, 2),
+    "coeff_unified.multiplier": lambda v: coeff_unified(3, v),
+    "oracle_expansion": oracle_expansion,
+    "harmonics_from_polynomial": lambda v: harmonics_from_polynomial(
+        v, oracle_expansion(3)
+    ),
+    "expansions_up_to": cotderiv.expansions_up_to,
+    "eval_cot_deriv": lambda v: eval_cot_deriv(v, 1.0),
+    "eval_cot_deriv_pi": lambda v: eval_cot_deriv_pi(v, 0.25),
+    "polygamma": lambda v: polygamma(v, 2.5),
+    "polygamma_series_oracle": lambda v: polygamma_series_oracle(v, 2.5),
+    "reflection_residual": lambda v: reflection_residual(v, 0.25),
+    "bernoulli": bernoulli,
+    "BernoulliTable.build": BernoulliTable.build,
+    "LimitSpec.numerator_scale": lambda v: LimitSpec(FAMILY_POLYGAMMA, v, 1),
+    "LimitSpec.denominator_scale": lambda v: LimitSpec(FAMILY_POLYGAMMA, 2, v),
+    "LimitSpec.pole_index": lambda v: LimitSpec(FAMILY_POLYGAMMA, 2, 1, v),
+    "LimitSpec.derivative_order": lambda v: LimitSpec(FAMILY_POLYGAMMA, 2, 1, 0, v),
+    "gamma_ratio_limit.n": lambda v: gamma_ratio_limit(v, 1, 1),
+    "gamma_ratio_limit.q": lambda v: gamma_ratio_limit(2, v, 1),
+    "gamma_ratio_limit.k": lambda v: gamma_ratio_limit(2, 1, v),
+    "polygamma_ratio_limit.i": lambda v: polygamma_ratio_limit(v, 2, 1),
+    "polygamma_ratio_limit.n": lambda v: polygamma_ratio_limit(1, v, 1),
+    "polygamma_ratio_limit.q": lambda v: polygamma_ratio_limit(1, 2, v),
+}
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "must be an integer, got True"),
+        (2.5, "must be an integer, got 2.5"),
+        ("3", "must be an integer, got '3'"),
+        (-H, f"-{HUGE}"),
+        (Fraction(H, 3), "must be an integer, got <Fraction too long to print>"),
+    ],
+    ids=["bool", "float", "str", "-H", "H/3"],
+)
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_argument_is_total(name, value, message):
+    with pytest.raises(DomainError) as excinfo:
+        INTEGER_ARGUMENTS[name](value)
+    assert message in str(excinfo.value)
+
+
+# One message of each shape from the bounds: a range below and above, and
+# the parity of a harmonic.
+BOUND_MESSAGES = [
+    (lambda: expansion(0), "order must be >= 1, got 0"),
+    (lambda: coeff(3, -1), "multiplier must be >= 0, got -1"),
+    (lambda: coeff_unified(3, 0), "multiplier must be >= 1, got 0"),
+    (lambda: oracle_expansion(-1), "order must be >= 0, got -1"),
+    (lambda: cotderiv.expansions_up_to(0), "max order must be >= 1, got 0"),
+    (lambda: polygamma(-1, 1.0), "order must be >= 0, got -1"),
+    (lambda: bernoulli(-2), "index must be >= 0, got -2"),
+    (lambda: BernoulliTable.build(-1), "size must be >= 0, got -1"),
+    (lambda: LimitSpec(FAMILY_POLYGAMMA, 2, 1, -1), "pole index must be >= 0"),
+    (lambda: coeff(H, 0), f"no cos(0x) harmonic in the order-{HUGE} derivative"),
+    (lambda: coeff(3, H), f"multiplier {HUGE} out of range for order 3"),
+    (lambda: bernoulli(H), f"index {HUGE} exceeds the configured table size"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", BOUND_MESSAGES, ids=[message for _, message in BOUND_MESSAGES]
+)
+def test_bound_messages(call, message):
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert str(excinfo.value).startswith(message)
+
+
+# Every real argument of a public entry point, as in INTEGER_ARGUMENTS.
+REAL_ARGUMENTS = {
+    "polygamma": lambda v: polygamma(3, v),
+    "eval_cot_deriv": lambda v: eval_cot_deriv(3, v),
+    "eval_cot_deriv_pi": lambda v: eval_cot_deriv_pi(3, v),
+    "polygamma_series_oracle": lambda v: polygamma_series_oracle(3, v),
+    "reflection_residual": lambda v: reflection_residual(3, v),
+    "neville_extrapolate.xs": lambda v: neville_extrapolate((v, 0.1), (1.0, 2.0)),
+    "neville_extrapolate.ys": lambda v: neville_extrapolate((0.2, 0.1), (1.0, v)),
+}
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["0.5", None, 0.5j, Decimal("0.5")],
+    ids=["str", "None", "complex", "Decimal"],
+)
+@pytest.mark.parametrize("name", REAL_ARGUMENTS)
+def test_non_real_argument_is_domain_error(name, value):
+    with pytest.raises(DomainError, match=r"must be a real number, got "):
+        REAL_ARGUMENTS[name](value)
+
+
+@pytest.mark.parametrize("value", [0.25, Fraction(1, 4)], ids=repr)
+@pytest.mark.parametrize("name", REAL_ARGUMENTS)
+def test_real_argument_types_are_accepted(name, value):
+    REAL_ARGUMENTS[name](value)
+
+
+@pytest.mark.parametrize("value", [H, -H, Fraction(H, 3)], ids=["H", "-H", "H/3"])
+@pytest.mark.parametrize("name", REAL_ARGUMENTS)
+def test_huge_real_argument_is_domain_error(name, value):
+    with pytest.raises(DomainError):
+        REAL_ARGUMENTS[name](value)
+
+
+# Fractions at or next to a pole whose denominator is too long to print: the
+# pole and range errors echo them through errors.shown as well.
+NEAR_POLE_FRACTIONS = {
+    "polygamma": lambda: polygamma(3, Fraction(1, H)),
+    "eval_cot_deriv": lambda: eval_cot_deriv(3, Fraction(1, H)),
+    "eval_cot_deriv_pi": lambda: eval_cot_deriv_pi(3, Fraction(1, H)),
+    "polygamma_series_oracle": lambda: polygamma_series_oracle(3, Fraction(1, H)),
+    "reflection_residual": lambda: reflection_residual(3, Fraction(1, H)),
+    "neville_extrapolate": lambda: neville_extrapolate(
+        (Fraction(1, H), Fraction(1, H)), (1.0, 2.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", NEAR_POLE_FRACTIONS.values(), ids=NEAR_POLE_FRACTIONS)
+def test_fraction_too_long_to_print_is_shown_by_type(call):
+    with pytest.raises(DomainError, match=r"<(Fraction|tuple) too long to print>"):
+        call()

@@ -511,6 +511,37 @@ def theorem_reports():
     return verify._probe_reports(FAMILY_POLYGAMMA, verify._THEOREM_CASES)
 
 
+# The module; the package attribute polylim.polygamma is the function.
+polygamma_module = importlib.import_module("polylim.polygamma")
+
+
+def assert_fails(result, name):
+    assert result.name == name
+    assert not result.passed
+
+
+def mutate_expansion(monkeypatch, order, mutate):
+    """Make cotderiv.expansion(order) return mutate(the true expansion).
+
+    The cached expansion itself is left alone: _replace builds a new record
+    without the constructor's checks.
+    """
+    exact = cotderiv.expansion
+    monkeypatch.setattr(
+        cotderiv, "expansion", lambda p: mutate(exact(p)) if p == order else exact(p)
+    )
+
+
+def bump_first_coefficient(e):
+    (j, b), *rest = e.harmonics
+    return e._replace(harmonics=((j, b + 1), *rest))
+
+
+def scale_family(monkeypatch, table, family, factor):
+    exact = table[family]
+    monkeypatch.setitem(table, family, lambda *args: factor * exact(*args))
+
+
 class TestVerifyChecksCanFail:
     def test_reflection_identity_sees_a_scaled_cot_term(self, monkeypatch):
         module = importlib.import_module("polylim.polygamma")
@@ -574,6 +605,112 @@ class TestVerifyChecksCanFail:
         # reads fewer cannot pass with a spread of 0.
         for spec in POLE_PROBES:
             assert not check([r for r in theorem_reports if r.spec != spec]).passed
+
+    # One mutation of the code under test per remaining check.
+
+    def test_coefficient_sum_sees_one_wrong_coefficient(self, monkeypatch):
+        mutate_expansion(monkeypatch, 7, bump_first_coefficient)
+        assert_fails(verify._check_coefficient_sum(), "coefficient-sum-identity")
+
+    def test_oracle_equivalence_sees_a_scaled_closed_form(self, monkeypatch):
+        exact = cotderiv.eval_cot_deriv
+        monkeypatch.setattr(
+            cotderiv, "eval_cot_deriv", lambda p, x: exact(p, x) * (1.0 + 1e-6)
+        )
+        assert_fails(verify._check_oracle_equivalence(), "oracle-equivalence")
+
+    def test_finite_difference_sees_one_scaled_order(self, monkeypatch):
+        # Scaling every order alike would scale both sides of the check.
+        exact = cotderiv.eval_cot_deriv
+        monkeypatch.setattr(
+            cotderiv,
+            "eval_cot_deriv",
+            lambda p, x: exact(p, x) * (1.0 + 1e-3 * (p == 4)),
+        )
+        assert_fails(
+            verify._check_finite_difference(), "finite-difference-consistency"
+        )
+
+    def test_parity_sees_an_extra_harmonic(self, monkeypatch):
+        mutate_expansion(
+            monkeypatch, 4, lambda e: e._replace(harmonics=e.harmonics + ((5, 1),))
+        )
+        assert_fails(verify._check_parity(), "parity")
+
+    def test_exact_extraction_sees_one_wrong_coefficient(self, monkeypatch):
+        mutate_expansion(monkeypatch, 5, bump_first_coefficient)
+        assert_fails(verify._check_exact_extraction(), "exact-harmonic-extraction")
+
+    def test_bernoulli_recurrence_sees_a_wrong_b10(self, monkeypatch):
+        exact = verify.bernoulli
+        monkeypatch.setattr(verify, "bernoulli", lambda m: exact(m) + (m == 10))
+        assert_fails(verify._check_bernoulli(), "bernoulli-recurrence")
+
+    def test_recurrence_identity_sees_a_scaled_series(self, monkeypatch):
+        exact = polygamma_module._asymptotic
+        monkeypatch.setattr(
+            polygamma_module,
+            "_asymptotic",
+            lambda order, x: exact(order, x) * (1.0 + 1e-6),
+        )
+        assert_fails(verify._check_recurrence_identity(), "recurrence-identity")
+
+    def test_series_oracle_agreement_sees_a_scaled_oracle(self, monkeypatch):
+        exact = polygamma_module.shifted_power_sum
+        monkeypatch.setattr(
+            polygamma_module,
+            "shifted_power_sum",
+            lambda x, s, terms: exact(x, s, terms) * (1.0 + 1e-8),
+        )
+        assert_fails(verify._check_series_oracle(), "series-oracle-agreement")
+
+    def test_sign_pattern_sees_a_negated_order(self, monkeypatch):
+        exact = polygamma_module._asymptotic
+        monkeypatch.setattr(
+            polygamma_module,
+            "_asymptotic",
+            lambda order, x: -exact(order, x) if order == 3 else exact(order, x),
+        )
+        assert_fails(verify._check_sign_pattern(), "sign-pattern")
+
+    def test_path_bookkeeping_sees_a_relabelled_method(self, monkeypatch):
+        monkeypatch.setattr(polygamma_module, "METHOD_REFLECTION", "reflected")
+        assert_fails(verify._check_path_bookkeeping(), "path-bookkeeping")
+
+    def test_exact_reciprocity_sees_a_scaled_gamma_limit(self, monkeypatch):
+        scale_family(monkeypatch, limits._QUOTIENTS, FAMILY_GAMMA, 2)
+        assert_fails(verify._check_exact_reciprocity(), "exact-reciprocity")
+
+    def test_polygamma_symmetry_sees_a_scaled_polygamma_limit(self, monkeypatch):
+        scale_family(monkeypatch, limits._QUOTIENTS, FAMILY_POLYGAMMA, 2)
+        assert_fails(verify._check_polygamma_symmetry(), "polygamma-symmetry")
+
+    def test_laurent_residue_sees_a_scaled_gamma_germ(self, monkeypatch):
+        exact = limits._GERMS[FAMILY_GAMMA]
+
+        def germ(*args):
+            g = exact(*args)
+            return g._replace(coefficient=2 * g.coefficient)
+
+        monkeypatch.setitem(limits._GERMS, FAMILY_GAMMA, germ)
+        assert_fails(verify._check_laurent_residues(), "laurent-residue-unit")
+
+    def test_theorem_probe_grid_sees_a_scaled_polygamma_limit(self, monkeypatch):
+        scale_family(monkeypatch, limits._QUOTIENTS, FAMILY_POLYGAMMA, 2)
+        results = {r.name: r for r in verify.limits_suite()}
+        assert not results["theorem-probe-grid"].passed
+
+    def test_monotone_improvement_sees_a_biased_extrapolation(self, monkeypatch):
+        exact = limits.neville_extrapolate
+        monkeypatch.setattr(
+            limits, "neville_extrapolate", lambda xs, ys: exact(xs, ys) + 1e-6
+        )
+        results = {r.name: r for r in verify.limits_suite()}
+        # The bias stays inside the probes' tolerance, so both grids pass;
+        # it loses to every probe whose last raw sample is nearer the target.
+        assert results["theorem-probe-grid"].passed
+        assert results["gamma-probe-grid"].passed
+        assert not results["monotone-improvement"].passed
 
 
 def test_cli_import_leaves_numpy_unloaded():

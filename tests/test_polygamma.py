@@ -389,9 +389,9 @@ def test_order_is_validated_once_per_public_call(monkeypatch, function, x, check
 
 
 def _recording(as_index, names):
-    def recorded(value, name):
+    def recorded(value, name, minimum=None):
         names.append(name)
-        return as_index(value, name)
+        return as_index(value, name, minimum)
 
     return recorded
 
