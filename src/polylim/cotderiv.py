@@ -12,7 +12,11 @@ evaluates the closed form, and carries three independent routes to them:
 * the tables behind ``expansion``, built by an O(p) integer recurrence per
   order that comes from differentiating the numerator over sin**(p+1);
 * the paper's piecewise and unified formulas, ``coeff`` and
-  ``coeff_unified``, which serve point requests and cross-checks;
+  ``coeff_unified``, which serve point requests and cross-checks.  Each
+  coefficient is an integer multiple of the alternating sum
+  sum_{l<a} (-1)**l C(m+1, l) (a-l)**m, the Eulerian number <m, a-1>;
+  ``_alternating_sum`` walks its bases a-l upwards from 1 and builds most
+  of their powers from smaller ones;
 * a polynomial oracle: the same derivative written as an integer polynomial
   in t = cot x, obtained by repeatedly applying  P(t) -> P'(t) * (-1 - t**2),
   and rewritten exactly into the cosine basis.
@@ -32,7 +36,9 @@ from .errors import (
     InvalidHarmonicError,
     PoleError,
     as_index,
+    as_indices,
     as_real,
+    as_tuple,
     shown,
 )
 
@@ -62,10 +68,20 @@ class CotDerivExpansion(
         sin_exponent: int,
         harmonics: tuple[tuple[int, int], ...],
     ):
-        if sin_exponent != order + 1:
+        order = as_index(order, "order", 1)
+        if as_index(sin_exponent, "sin_exponent") != order + 1:
             raise DomainError("sin exponent must be order + 1")
-        expected = tuple(range(0 if order % 2 else 1, order, 2))
-        if tuple(j for j, _ in harmonics) != expected:
+        harmonics = tuple(
+            as_indices(pair, f"harmonics[{i}]")
+            for i, pair in enumerate(as_tuple(harmonics, "harmonics"))
+        )
+        if any(len(pair) != 2 for pair in harmonics):
+            raise DomainError("each harmonic must be a (multiplier, coefficient) pair")
+        multipliers = tuple(j for j, _ in harmonics)
+        # The count is compared first, so a huge order builds no range.
+        if len(multipliers) != (order + 1) // 2 or multipliers != tuple(
+            range(0 if order % 2 else 1, order, 2)
+        ):
             raise DomainError(
                 "harmonics must cover multipliers of opposite parity to the "
                 "order, ascending, below the order"
@@ -84,6 +100,9 @@ class CotPolynomial(namedtuple("CotPolynomial", "coefficients")):
     """
 
     __slots__ = ()
+
+    def __new__(cls, coefficients: tuple[int, ...]):
+        return super().__new__(cls, as_indices(coefficients, "coefficients"))
 
     @property
     def degree(self) -> int:
@@ -113,20 +132,35 @@ def _harmonic_index(order, multiplier, unified: bool = False) -> tuple[int, int]
     return p, q
 
 
-def _alternating_sum(n: int, a: int, power: int, terms: int) -> int:
-    """sum_{l < terms} (-1)**l * C(n, l) * (a - l)**power, exactly.
+def _alternating_sum(n: int, a: int, power: int) -> int:
+    """sum_{l < a} (-1)**l * C(n, l) * (a - l)**power, exactly.
 
-    The binomial is carried from term to term, C(n, l+1) = C(n, l) * (n-l)
-    // (l+1), which is exact because the product is C(n, l+1) * (l+1).
+    With n = power + 1 this is the Eulerian number <power, a - 1> (Graham,
+    Knuth and Patashnik, Concrete Mathematics, section 6.2).  The bases
+    j = a - l are walked upwards from 1, keeping every j**power: an even j
+    is (j/2)**power shifted left by power bits, an odd multiple of 3 or 5
+    other than 3 and 5 is the product of two powers already built, and only
+    the other bases pay for pow.  The binomial is carried downwards from
+    C(n, a - 1) by C(n, l) = C(n, l+1) * (l+1) // (n-l), which is exact
+    because the product is C(n, l) * (n-l).  Each step subtracts the running
+    total from its term, so term j ends with sign (-1)**(a-j).
     """
-    total = 0
-    binom = 1
-    for ell in range(terms):
-        if ell % 2:
-            total -= binom * (a - ell) ** power
+    powers = [0, 1]
+    binom = math.comb(n, a - 1)
+    total = binom
+    for j in range(2, a + 1):
+        ell = a - j
+        binom = binom * (ell + 1) // (n - ell)
+        if not j & 1:
+            x = powers[j >> 1] << power
+        elif not j % 3 and j > 3:
+            x = powers[3] * powers[j // 3]
+        elif not j % 5 and j > 5:
+            x = powers[5] * powers[j // 5]
         else:
-            total += binom * (a - ell) ** power
-        binom = binom * (n - ell) // (ell + 1)
+            x = j**power
+        powers.append(x)
+        total = binom * x - total
     return total
 
 
@@ -144,14 +178,14 @@ def coeff(order: int, multiplier: int) -> int:
         n = (p + 1) // 2
         if q == 0:
             # 2n * sum_{l<n-1} (-1)**(l+1) C(2n-1, l) (n-l-1)**(2n-2)
-            return -2 * n * _alternating_sum(2 * n - 1, n - 1, 2 * n - 2, n - 1)
+            return -2 * n * _alternating_sum(2 * n - 1, n - 1, 2 * n - 2)
         # 2 * sum_{l<n-i} (-1)**(l+1) C(2n, l) (n-i-l)**(2n-1), i = q/2
         i = q // 2
-        return -2 * _alternating_sum(2 * n, n - i, 2 * n - 1, n - i)
+        return -2 * _alternating_sum(2 * n, n - i, 2 * n - 1)
     # 2 * sum_{l<n-i} (-1)**l C(2n+1, l) (n-i-l)**(2n), n = p/2, i = (q-1)/2
     n = p // 2
     i = (q - 1) // 2
-    return 2 * _alternating_sum(2 * n + 1, n - i, 2 * n, n - i)
+    return 2 * _alternating_sum(2 * n + 1, n - i, 2 * n)
 
 
 def coeff_unified(order: int, multiplier: int) -> int:
@@ -165,7 +199,7 @@ def coeff_unified(order: int, multiplier: int) -> int:
     # (-1)**p * 2 * sum_{l<=m} (-1)**l C(p+1, l) (m-l+1)**p
     m = (p - q - 1) // 2
     sign = -1 if p % 2 else 1
-    return sign * 2 * _alternating_sum(p + 1, m + 1, p, m + 1)
+    return sign * 2 * _alternating_sum(p + 1, m + 1, p)
 
 
 # _ROWS[p][j] = b[p, j]; row p has length p + 2 and starts from
@@ -205,7 +239,9 @@ def expansion(order: int) -> CotDerivExpansion:
     row = _numerator_row(order)
     start = 0 if order % 2 else 1
     harmonics = tuple(zip(range(start, order, 2), row[start:order:2]))
-    return CotDerivExpansion(order=order, sin_exponent=order + 1, harmonics=harmonics)
+    # _make skips the constructor's checks, which cannot fail here: the
+    # multipliers come from the very range they would be compared against.
+    return CotDerivExpansion._make((order, order + 1, harmonics))
 
 
 def _checked_quotient(num: float, denom: float, order: int, label: str, arg) -> float:
@@ -294,7 +330,8 @@ def oracle_expansion(order: int) -> CotPolynomial:
             nxt[i] -= c
             nxt[i + 2] -= c
         cur = nxt
-    return CotPolynomial(coefficients=tuple(cur))
+    # Integers by construction, so _make skips the constructor's coercion.
+    return CotPolynomial._make((tuple(cur),))
 
 
 def _fold_cos(d: dict[int, Fraction], j: int, val: Fraction) -> None:
@@ -357,6 +394,8 @@ def harmonics_from_polynomial(
     formulas, so agreement with them is a genuine cross-check.
     """
     order = as_index(order, "order", 1)
+    if not isinstance(poly, CotPolynomial):
+        raise DomainError(f"poly must be a CotPolynomial, got {shown(poly, repr)}")
     if poly.degree != order + 1:
         raise DomainError(
             f"polynomial degree {poly.degree} does not match order {shown(order)}"

@@ -86,6 +86,26 @@ def as_index(value, name: str, minimum: int | None = None) -> int:
     return index
 
 
+def as_tuple(value, name: str) -> tuple:
+    """Return the items of an iterable argument as a tuple."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise DomainError(
+            f"{name} must be a sequence, got {shown(value, repr)}"
+        ) from None
+
+
+def as_indices(value, name: str) -> tuple[int, ...]:
+    """Coerce a sequence of integral values to a tuple of ints, as by as_index.
+
+    An entry that is not an integer is named by its position, ``name[i]``.
+    """
+    return tuple(
+        [as_index(v, f"{name}[{i}]") for i, v in enumerate(as_tuple(value, name))]
+    )
+
+
 def as_real(value, name: str):
     """Return a real argument (any ``numbers.Real``) unchanged.
 

@@ -86,8 +86,8 @@ class LimitSpec(
 
     def __new__(cls, family: str, numerator_scale: int, denominator_scale: int,
                 pole_index: int = 0, derivative_order: int = 0):
-        if family not in _GERMS:
-            raise DomainError(f"unknown limit family: {family!r}")
+        if not isinstance(family, str) or family not in _GERMS:
+            raise DomainError(f"unknown limit family: {shown(family, repr)}")
         numerator_scale = as_index(numerator_scale, "numerator_scale")
         denominator_scale = as_index(denominator_scale, "denominator_scale")
         if numerator_scale < 1 or denominator_scale < 1:

@@ -1,10 +1,11 @@
 """The argument contract shared by every public entry point.
 
-Integer arguments pass through ``errors.as_index`` and real ones through
-``errors.as_real``.  A wrong type, a value below its bound or an int too long
-to print raises ``DomainError`` (or a subclass of it), never ``TypeError`` or
-``ValueError``.  No case passes a huge *valid* order, such as
-``expansion(H)``: that would start unbounded work.
+Integer arguments pass through ``errors.as_index``, sequences of them
+through ``errors.as_indices`` and real ones through ``errors.as_real``.  A
+wrong type, a value below its bound or an int too long to print raises
+``DomainError`` (or a subclass of it), never ``TypeError`` or ``ValueError``.
+No case passes a huge *valid* order, such as ``expansion(H)``: that would
+start unbounded work.
 """
 from decimal import Decimal
 from fractions import Fraction
@@ -14,6 +15,8 @@ import pytest
 from polylim import (
     FAMILY_POLYGAMMA,
     BernoulliTable,
+    CotDerivExpansion,
+    CotPolynomial,
     DomainError,
     LimitSpec,
     bernoulli,
@@ -135,6 +138,37 @@ BOUND_MESSAGES = [
     "call, message", BOUND_MESSAGES, ids=[message for _, message in BOUND_MESSAGES]
 )
 def test_bound_messages(call, message):
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert str(excinfo.value).startswith(message)
+
+
+# Records and arguments that are neither one integer nor one real number.
+STRUCTURED_ARGUMENTS = [
+    (lambda: CotDerivExpansion(2.5, 3.5, ()), "order must be an integer, got 2.5"),
+    (
+        lambda: CotPolynomial(("a",)).evaluate(1.0),
+        "coefficients[0] must be an integer, got 'a'",
+    ),
+    (
+        lambda: CotDerivExpansion(True, 2, ((0, -1),)),
+        "order must be an integer, got True",
+    ),
+    (lambda: CotDerivExpansion(H, H + 1, ()), "harmonics must cover multipliers"),
+    (lambda: LimitSpec(["gamma"], 1, 1), "unknown limit family: ['gamma']"),
+    (
+        lambda: harmonics_from_polynomial(3, "x"),
+        "poly must be a CotPolynomial, got 'x'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    STRUCTURED_ARGUMENTS,
+    ids=[message for _, message in STRUCTURED_ARGUMENTS],
+)
+def test_structured_argument_is_domain_error(call, message):
     with pytest.raises(DomainError) as excinfo:
         call()
     assert str(excinfo.value).startswith(message)

@@ -148,6 +148,14 @@ class TestExpansion:
         with pytest.raises(DomainError, match="max_order must be an integer"):
             cotderiv.expansions_up_to(max_order)
 
+    def test_public_constructors_rebuild_every_table(self):
+        # expansion and oracle_expansion build their records without the
+        # constructors' checks; each record must still pass them.
+        for p in range(1, 221):
+            assert CotDerivExpansion(*expansion(p)) == expansion(p), p
+        for p in range(61):
+            assert CotPolynomial(*oracle_expansion(p)) == oracle_expansion(p), p
+
     def test_invalid_construction_rejected(self):
         with pytest.raises(DomainError):
             CotDerivExpansion(order=2, sin_exponent=2, harmonics=((1, 2),))
@@ -155,6 +163,44 @@ class TestExpansion:
             CotDerivExpansion(order=2, sin_exponent=3, harmonics=((0, 2),))
         with pytest.raises(DomainError):
             CotDerivExpansion(3, 4, ((1, 2),))
+
+
+def textbook_sum(n, a, m):
+    return sum((-1) ** l * math.comb(n, l) * (a - l) ** m for l in range(a))
+
+
+def eulerian_table(max_m):
+    """<m, k> for m, k <= max_m, by <m, k> = (k+1) <m-1, k> + (m-k) <m-1, k-1>."""
+    rows = [[1] + [0] * max_m]
+    for m in range(1, max_m + 1):
+        prev = rows[-1]
+        rows.append(
+            [(k + 1) * prev[k] + (m - k) * (prev[k - 1] if k else 0)
+             for k in range(max_m + 1)]
+        )
+    return rows
+
+
+class TestAlternatingSum:
+    def test_matches_textbook_sum_and_eulerian_numbers(self):
+        eulerian = eulerian_table(160)
+        for m in range(161):
+            for a in range(1, (m + 1) // 2 + 2):
+                value = cotderiv._alternating_sum(m + 1, a, m)
+                assert value == textbook_sum(m + 1, a, m) == eulerian[m][a - 1], (m, a)
+
+    # Orders above the pinned ones.  At p = 400 the bases run up to 200: past
+    # 9, 15, 25, 45 and 75, each one product of powers already built, and
+    # past the prime squares 49, 121 and 169, which pay for pow.
+    @pytest.mark.parametrize("p", [221, 241, 289, 361, 400])
+    def test_point_formulas_match_textbook_sum(self, p):
+        for q in range(1 - p % 2, p, 2):
+            if q == 0:
+                expected = -(p + 1) * textbook_sum(p, (p - 1) // 2, p - 1)
+            else:
+                expected = (-1) ** p * 2 * textbook_sum(p + 1, (p - q + 1) // 2, p)
+                assert coeff_unified(p, q) == expected, q
+            assert coeff(p, q) == expected, q
 
 
 # sha256 digests of exact values, recorded before the point formulas and the
