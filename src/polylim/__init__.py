@@ -32,7 +32,6 @@ from .limits import (
     probe_limit,
 )
 from .polygamma import (
-    BernoulliTable,
     PolygammaResult,
     bernoulli,
     polygamma,
@@ -43,7 +42,6 @@ from .polygamma import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernoulliTable",
     "CotDerivExpansion",
     "CotPolynomial",
     "DomainError",

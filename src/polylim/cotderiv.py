@@ -109,9 +109,18 @@ class CotPolynomial(namedtuple("CotPolynomial", "coefficients")):
         return len(self.coefficients) - 1
 
     def evaluate(self, t: float) -> float:
+        if not abs(as_real(t, "t")) <= _DOUBLE_MAX:
+            raise DomainError(f"t must be finite, got {shown(t)}")
         acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
+        try:
+            for c in reversed(self.coefficients):
+                acc = acc * t + c
+        except OverflowError:  # a coefficient beyond double range
+            acc = math.inf
+        if not math.isfinite(acc):
+            raise DomainError(
+                f"cot polynomial at t={shown(t)} exceeds double precision range"
+            )
         return acc
 
 
@@ -128,6 +137,10 @@ def _harmonic_index(order, multiplier, unified: bool = False) -> tuple[int, int]
         raise HarmonicRangeError(
             f"multiplier {shown(q)} out of range for order {shown(p)} "
             "(need multiplier < order)"
+        )
+    if p > sys.maxsize:  # math.comb takes no larger size
+        raise DomainError(
+            f"order {shown(p)} exceeds exact arithmetic range (max {sys.maxsize})"
         )
     return p, q
 
@@ -282,7 +295,10 @@ def eval_cot_deriv(order: int, x: float) -> float:
         )
     if order == 0:
         return math.cos(x) / s
-    num = sum(b * math.cos(j * x) for j, b in expansion(order).harmonics)
+    try:
+        num = sum(b * math.cos(j * x) for j, b in expansion(order).harmonics)
+    except ValueError:  # j * x beyond double range is inf, and cos(inf) raises
+        num = math.nan
     return _checked_quotient(num, s ** (order + 1), order, "x=", x)
 
 

@@ -19,7 +19,15 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .cotderiv import _DOUBLE_MAX, POLE_GUARD
-from .errors import DomainError, PoleError, ProbeFailureError, as_index, as_real, shown
+from .errors import (
+    DomainError,
+    PoleError,
+    ProbeFailureError,
+    as_index,
+    as_real,
+    as_tuple,
+    shown,
+)
 from .polygamma import polygamma
 
 FAMILY_GAMMA = "gamma-ratio"
@@ -108,7 +116,10 @@ class LimitSpec(
     def germs(self) -> tuple[PoleGerm, PoleGerm]:
         """The numerator's and the denominator's germs at z = -pole_index."""
         germ, k, i = _GERMS[self.family], self.pole_index, self.derivative_order
-        return germ(self.numerator_scale, k, i), germ(self.denominator_scale, k, i)
+        try:
+            return germ(self.numerator_scale, k, i), germ(self.denominator_scale, k, i)
+        except OverflowError:
+            raise _beyond_exact_range(self) from None
 
     def target(self) -> Fraction:
         """The exact limit: the quotient of the two germ coefficients.
@@ -117,7 +128,19 @@ class LimitSpec(
         factorial is built.
         """
         family, n, q, k, i = self
-        return _QUOTIENTS[family](n, q, k, i)
+        try:
+            return _QUOTIENTS[family](n, q, k, i)
+        except OverflowError:
+            raise _beyond_exact_range(self) from None
+
+
+def _beyond_exact_range(spec: LimitSpec) -> DomainError:
+    # math.factorial and math.perm take no size above sys.maxsize.
+    family, n, q, k, i = map(shown, spec)
+    return DomainError(
+        f"{family} limit exceeds exact arithmetic range, "
+        f"got n={n}, q={q}, k={k}, i={i}"
+    )
 
 
 def gamma_ratio_limit(
@@ -157,6 +180,7 @@ class ProbeReport(
 
 def neville_extrapolate(xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
     """Value at 0 of the polynomial through (xs[j], ys[j])."""
+    xs, ys = as_tuple(xs, "xs"), as_tuple(ys, "ys")
     if len(xs) != len(ys) or not xs:
         raise DomainError("need equally many abscissae and values, at least one")
     for value in (*xs, *ys):
@@ -217,6 +241,8 @@ def _polygamma_ratio_sample(spec: LimitSpec, eps: float) -> float:
 
 def probe_limit(spec: LimitSpec) -> ProbeReport:
     """Sample the ratio at z = -k + EPS0 * 2**-j and extrapolate to the pole."""
+    if not isinstance(spec, LimitSpec):
+        raise DomainError(f"spec must be a LimitSpec, got {shown(spec, repr)}")
     sampler = (
         _gamma_ratio_sample if spec.family == FAMILY_GAMMA else _polygamma_ratio_sample
     )

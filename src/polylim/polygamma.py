@@ -60,47 +60,32 @@ class PolygammaResult(
     __slots__ = ()
 
 
-class BernoulliTable(namedtuple("BernoulliTable", "values")):
-    """Bernoulli numbers B0 .. Bsize as exact rationals, B1 = -1/2."""
-
-    __slots__ = ()
-
-    @classmethod
-    def build(cls, size: int) -> "BernoulliTable":
-        size = as_index(size, "size", 0)
-        # Tangent numbers T_1, T_2, T_3, ... = 1, 2, 16, ... by the integer
-        # recurrence of Knuth and Buckholtz (Math. Comp. 21, 1967), then
-        # B_2k = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1)).  The odd B past
-        # B1 vanish.  Only integers are added; each B_2k is one Fraction.
-        half = size // 2
-        t = [0, 1] + [0] * (half - 1)
-        for k in range(2, half + 1):
-            t[k] = (k - 1) * t[k - 1]
-        for k in range(2, half + 1):
-            for j in range(k, half + 1):
-                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-        zero = Fraction(0)
-        vals = [Fraction(1)]
-        for m in range(1, size + 1):
-            if m == 1:
-                vals.append(Fraction(-1, 2))
-            elif m % 2:
-                vals.append(zero)
-            else:
-                k = m // 2
-                four_k = 4**k
-                sign = 1 if k % 2 else -1
-                vals.append(Fraction(sign * m * t[k], four_k * (four_k - 1)))
-        return cls(values=tuple(vals))
-
-    @property
-    def size(self) -> int:
-        return len(self.values) - 1
-
-
 @lru_cache(maxsize=None)
-def _table() -> BernoulliTable:
-    return BernoulliTable.build(BERNOULLI_SIZE)
+def _bernoulli_numbers() -> tuple[Fraction, ...]:
+    """B0 .. B_BERNOULLI_SIZE as exact rationals, B1 = -1/2.
+
+    Tangent numbers T_1, T_2, T_3, ... = 1, 2, 16, ... come from the integer
+    recurrence of Knuth and Buckholtz (Math. Comp. 21, 1967), then
+    B_2k = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1)).  The odd B past B1
+    vanish.  Only integers are added; each B_2k is one Fraction.
+    """
+    half = BERNOULLI_SIZE // 2
+    t = [0, 1] + [0] * (half - 1)
+    for k in range(2, half + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    values = [Fraction(1), Fraction(-1, 2)]
+    for m in range(2, BERNOULLI_SIZE + 1):
+        if m % 2:
+            values.append(Fraction(0))
+        else:
+            k = m // 2
+            four_k = 4**k
+            sign = 1 if k % 2 else -1
+            values.append(Fraction(sign * m * t[k], four_k * (four_k - 1)))
+    return tuple(values)
 
 
 def bernoulli(index: int) -> Fraction:
@@ -110,12 +95,12 @@ def bernoulli(index: int) -> Fraction:
         raise TableCapacityError(
             f"index {shown(index)} exceeds the configured table size {BERNOULLI_SIZE}"
         )
-    return _table().values[index]
+    return _bernoulli_numbers()[index]
 
 
 @lru_cache(maxsize=None)
 def _bernoulli_floats() -> tuple[float, ...]:
-    return tuple(float(b) for b in _table().values)
+    return tuple(float(b) for b in _bernoulli_numbers())
 
 
 @lru_cache(maxsize=None)

@@ -7,14 +7,17 @@ wrong type, a value below its bound or an int too long to print raises
 No case passes a huge *valid* order, such as ``expansion(H)``: that would
 start unbounded work.
 """
+import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+import polylim
 from polylim import (
+    FAMILY_GAMMA,
     FAMILY_POLYGAMMA,
-    BernoulliTable,
     CotDerivExpansion,
     CotPolynomial,
     DomainError,
@@ -32,9 +35,50 @@ from polylim import (
     polygamma,
     polygamma_ratio_limit,
     polygamma_series_oracle,
+    probe_limit,
     reflection_residual,
 )
 from polylim import cotderiv
+
+# The public names, listed so that a change to the surface is deliberate.
+PUBLIC_NAMES = [
+    "CotDerivExpansion",
+    "CotPolynomial",
+    "DomainError",
+    "FAMILY_GAMMA",
+    "FAMILY_POLYGAMMA",
+    "HarmonicRangeError",
+    "InvalidHarmonicError",
+    "LimitSpec",
+    "PoleError",
+    "PoleGerm",
+    "PolygammaResult",
+    "PolylimError",
+    "ProbeFailureError",
+    "ProbeReport",
+    "TableCapacityError",
+    "bernoulli",
+    "coeff",
+    "coeff_unified",
+    "eval_cot_deriv",
+    "eval_cot_deriv_pi",
+    "expansion",
+    "gamma_ratio_limit",
+    "harmonics_from_polynomial",
+    "neville_extrapolate",
+    "oracle_expansion",
+    "polygamma",
+    "polygamma_ratio_limit",
+    "polygamma_series_oracle",
+    "probe_limit",
+    "reflection_residual",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(polylim.__all__) == PUBLIC_NAMES
+    assert all(hasattr(polylim, name) for name in PUBLIC_NAMES)
+
 
 # More digits than int-to-str conversion allows, so a message that formats
 # it with a plain f-string raises ValueError.
@@ -84,7 +128,6 @@ INTEGER_ARGUMENTS = {
     "polygamma_series_oracle": lambda v: polygamma_series_oracle(v, 2.5),
     "reflection_residual": lambda v: reflection_residual(v, 0.25),
     "bernoulli": bernoulli,
-    "BernoulliTable.build": BernoulliTable.build,
     "LimitSpec.numerator_scale": lambda v: LimitSpec(FAMILY_POLYGAMMA, v, 1),
     "LimitSpec.denominator_scale": lambda v: LimitSpec(FAMILY_POLYGAMMA, 2, v),
     "LimitSpec.pole_index": lambda v: LimitSpec(FAMILY_POLYGAMMA, 2, 1, v),
@@ -126,7 +169,6 @@ BOUND_MESSAGES = [
     (lambda: cotderiv.expansions_up_to(0), "max order must be >= 1, got 0"),
     (lambda: polygamma(-1, 1.0), "order must be >= 0, got -1"),
     (lambda: bernoulli(-2), "index must be >= 0, got -2"),
-    (lambda: BernoulliTable.build(-1), "size must be >= 0, got -1"),
     (lambda: LimitSpec(FAMILY_POLYGAMMA, 2, 1, -1), "pole index must be >= 0"),
     (lambda: coeff(H, 0), f"no cos(0x) harmonic in the order-{HUGE} derivative"),
     (lambda: coeff(3, H), f"multiplier {HUGE} out of range for order 3"),
@@ -160,6 +202,8 @@ STRUCTURED_ARGUMENTS = [
         lambda: harmonics_from_polynomial(3, "x"),
         "poly must be a CotPolynomial, got 'x'",
     ),
+    (lambda: neville_extrapolate((1.0,), 1.0), "ys must be a sequence, got 1.0"),
+    (lambda: probe_limit(171), "spec must be a LimitSpec, got 171"),
 ]
 
 
@@ -174,8 +218,55 @@ def test_structured_argument_is_domain_error(call, message):
     assert str(excinfo.value).startswith(message)
 
 
+# A non-finite argument, results beyond double range, and sizes beyond what
+# math.comb, math.perm and math.factorial take (sys.maxsize).
+G = 10**400
+RANGE_LIMITS = {
+    "evaluate(nan)": (
+        lambda: CotPolynomial((1, 2)).evaluate(math.nan),
+        "t must be finite, got nan",
+    ),
+    "evaluate(coefficient > double max)": (
+        lambda: CotPolynomial((G,)).evaluate(1.0),
+        "cot polynomial at t=1.0 exceeds double precision range",
+    ),
+    "evaluate(infinite result)": (
+        lambda: CotPolynomial((1, 2)).evaluate(1e308),
+        "cot polynomial at t=1e+308 exceeds double precision range",
+    ),
+    "eval_cot_deriv(3, 1e308)": (
+        lambda: eval_cot_deriv(3, 1e308),
+        "cot^(3) at x=1e+308 exceeds double precision range",
+    ),
+    "coeff(G, 1)": (
+        lambda: coeff(G, 1),
+        f"order {G} exceeds exact arithmetic range (max {sys.maxsize})",
+    ),
+    "coeff_unified(G, 1)": (
+        lambda: coeff_unified(G, 1),
+        f"order {G} exceeds exact arithmetic range (max {sys.maxsize})",
+    ),
+    "gamma_ratio_limit(2, 1, G)": (
+        lambda: gamma_ratio_limit(2, 1, G),
+        f"gamma-ratio limit exceeds exact arithmetic range, got n=2, q=1, k={G}, i=0",
+    ),
+    "LimitSpec(gamma, 2, 1, G).germs()": (
+        lambda: LimitSpec(FAMILY_GAMMA, 2, 1, G).germs(),
+        f"gamma-ratio limit exceeds exact arithmetic range, got n=2, q=1, k={G}, i=0",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", RANGE_LIMITS.values(), ids=RANGE_LIMITS)
+def test_range_limit_is_domain_error(call, message):
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 # Every real argument of a public entry point, as in INTEGER_ARGUMENTS.
 REAL_ARGUMENTS = {
+    "CotPolynomial.evaluate": lambda v: CotPolynomial((1, 2)).evaluate(v),
     "polygamma": lambda v: polygamma(3, v),
     "eval_cot_deriv": lambda v: eval_cot_deriv(3, v),
     "eval_cot_deriv_pi": lambda v: eval_cot_deriv_pi(3, v),

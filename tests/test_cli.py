@@ -220,6 +220,15 @@ class TestEvalCot:
         assert "Traceback" not in cp.stderr
         assert cp.stdout == ""
 
+    def test_harmonic_beyond_double_range_is_computational_failure(self):
+        # cos(2x) at x = 1e308 would take inf, which math.cos rejects.
+        cp = run_cli("eval-cot", "--order", "3", "--x", "1e308")
+        assert cp.returncode == 1
+        assert cp.stderr == (
+            "polylim: cot^(3) at x=1e+308 exceeds double precision range\n"
+        )
+        assert cp.stdout == ""
+
     def test_pole_is_computational_failure(self, capsys):
         code, out, err = run_main(capsys, "eval-cot", "--order", "1", "--x",
                                   "3.141592653589793")

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polylim import (
-    BernoulliTable,
     DomainError,
     PoleError,
     TableCapacityError,
@@ -56,19 +55,19 @@ class TestBernoulli:
             assert bernoulli(m) == 0
 
     def test_defining_recurrence(self):
-        for m in range(1, 60):
-            acc = sum(comb(m + 1, j) * bernoulli(j) for j in range(m + 1))
-            assert acc == 0, m
-        # The tables come from tangent numbers; solve the defining recurrence
+        # The table comes from tangent numbers; solve the defining recurrence
         # sum_{j<=m} C(m+1, j) * B_j = 0 for B_m directly as the reference.
         reference = [Fraction(1)]
-        for m in range(1, 81):
+        for m in range(1, 61):
             acc = sum(comb(m + 1, j) * reference[j] for j in range(m))
             reference.append(-acc / (m + 1))
-        for size in range(81):
-            table = BernoulliTable.build(size)
-            assert table.values == tuple(reference[: size + 1]), size
-            assert table.size == size
+        assert [bernoulli(m) for m in range(61)] == reference
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for m in range(61):
+            p, q = mpmath.bernfrac(m)
+            assert bernoulli(m) == Fraction(int(p), int(q)), m
 
     def test_capacity(self):
         assert bernoulli(60) != 0
