@@ -35,10 +35,10 @@ from .errors import (
     HarmonicRangeError,
     InvalidHarmonicError,
     PoleError,
+    as_finite,
     as_index,
     as_indices,
     as_real,
-    as_tuple,
     shown,
 )
 
@@ -51,42 +51,16 @@ POLE_GUARD = 1e-12
 # range.  Exact generation still works, float evaluation does not.
 MAX_EVAL_ORDER = 170
 
-# Largest double; math.isfinite raises OverflowError for an int beyond it.
-_DOUBLE_MAX = sys.float_info.max
-
 
 class CotDerivExpansion(
     namedtuple("CotDerivExpansion", "order sin_exponent harmonics")
 ):
-    """Closed form of cot^(order): cosine harmonics over sin**sin_exponent."""
+    """Closed form of cot^(order): cosine harmonics over sin**sin_exponent.
+
+    Output data, built by ``expansion``; a record built by hand is not checked.
+    """
 
     __slots__ = ()
-
-    def __new__(
-        cls,
-        order: int,
-        sin_exponent: int,
-        harmonics: tuple[tuple[int, int], ...],
-    ):
-        order = as_index(order, "order", 1)
-        if as_index(sin_exponent, "sin_exponent") != order + 1:
-            raise DomainError("sin exponent must be order + 1")
-        harmonics = tuple(
-            as_indices(pair, f"harmonics[{i}]")
-            for i, pair in enumerate(as_tuple(harmonics, "harmonics"))
-        )
-        if any(len(pair) != 2 for pair in harmonics):
-            raise DomainError("each harmonic must be a (multiplier, coefficient) pair")
-        multipliers = tuple(j for j, _ in harmonics)
-        # The count is compared first, so a huge order builds no range.
-        if len(multipliers) != (order + 1) // 2 or multipliers != tuple(
-            range(0 if order % 2 else 1, order, 2)
-        ):
-            raise DomainError(
-                "harmonics must cover multipliers of opposite parity to the "
-                "order, ascending, below the order"
-            )
-        return super().__new__(cls, order, sin_exponent, harmonics)
 
     def coefficient_sum(self) -> int:
         return sum(b for _, b in self.harmonics)
@@ -109,8 +83,7 @@ class CotPolynomial(namedtuple("CotPolynomial", "coefficients")):
         return len(self.coefficients) - 1
 
     def evaluate(self, t: float) -> float:
-        if not abs(as_real(t, "t")) <= _DOUBLE_MAX:
-            raise DomainError(f"t must be finite, got {shown(t)}")
+        as_finite(t, "t")
         acc = 0.0
         try:
             for c in reversed(self.coefficients):
@@ -252,9 +225,7 @@ def expansion(order: int) -> CotDerivExpansion:
     row = _numerator_row(order)
     start = 0 if order % 2 else 1
     harmonics = tuple(zip(range(start, order, 2), row[start:order:2]))
-    # _make skips the constructor's checks, which cannot fail here: the
-    # multipliers come from the very range they would be compared against.
-    return CotDerivExpansion._make((order, order + 1, harmonics))
+    return CotDerivExpansion(order, order + 1, harmonics)
 
 
 def _checked_quotient(num: float, denom: float, order: int, label: str, arg) -> float:
@@ -285,8 +256,7 @@ def _eval_order(order, minimum: int = 0) -> int:
 def eval_cot_deriv(order: int, x: float) -> float:
     """Evaluate cot^(order) at x (radians) in double precision."""
     order = _eval_order(order)
-    if not abs(as_real(x, "argument")) <= _DOUBLE_MAX:
-        raise DomainError(f"argument must be finite, got {shown(x)}")
+    as_finite(x, "argument")
     s = math.sin(x)
     if abs(s) < POLE_GUARD:
         raise PoleError(

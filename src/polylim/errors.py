@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import numbers
 import operator
+import sys
+
+# Largest double; math.isfinite raises OverflowError for an int beyond it.
+DOUBLE_MAX = sys.float_info.max
 
 
 class PolylimError(Exception):
@@ -115,3 +119,14 @@ def as_real(value, name: str):
     if type(value) is float or isinstance(value, numbers.Real):
         return value
     raise DomainError(f"{name} must be a real number, got {shown(value, repr)}")
+
+
+def as_finite(value, name: str):
+    """Return a real argument within double range unchanged, as by as_real.
+
+    nan, the infinities and an int or ``Fraction`` beyond double range are
+    rejected: ``argument must be finite, got inf``.
+    """
+    if abs(as_real(value, name)) <= DOUBLE_MAX:
+        return value
+    raise DomainError(f"{name} must be finite, got {shown(value)}")

@@ -18,13 +18,13 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .cotderiv import _DOUBLE_MAX, POLE_GUARD
+from .cotderiv import MAX_EVAL_ORDER, POLE_GUARD
 from .errors import (
     DomainError,
     PoleError,
     ProbeFailureError,
+    as_finite,
     as_index,
-    as_real,
     as_tuple,
     shown,
 )
@@ -85,9 +85,9 @@ class LimitSpec(
 ):
     """Which pole-ratio limit to take: family, scales, pole, derivative order.
 
-    The gamma family takes derivative order 0 only.  ``pole_index`` does not
-    change the polygamma family's exact value but selects where the probe
-    samples.
+    The gamma family takes derivative order 0 only, the polygamma family at
+    most MAX_EVAL_ORDER.  ``pole_index`` does not change the polygamma
+    family's exact value but selects where the probe samples.
     """
 
     __slots__ = ()
@@ -109,6 +109,11 @@ class LimitSpec(
             raise DomainError(
                 f"the {family} family takes derivative order 0 only, "
                 f"got {shown(derivative_order)}"
+            )
+        if derivative_order > MAX_EVAL_ORDER:
+            raise DomainError(
+                f"derivative order {shown(derivative_order)} exceeds double "
+                f"precision range (max {MAX_EVAL_ORDER})"
             )
         return super().__new__(cls, family, numerator_scale, denominator_scale,
                                pole_index, derivative_order)
@@ -184,10 +189,7 @@ def neville_extrapolate(xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
     if len(xs) != len(ys) or not xs:
         raise DomainError("need equally many abscissae and values, at least one")
     for value in (*xs, *ys):
-        if not abs(as_real(value, "each abscissa and value")) <= _DOUBLE_MAX:
-            raise DomainError(
-                f"abscissae and values must be finite, got {shown(xs)}, {shown(ys)}"
-            )
+        as_finite(value, "each abscissa and value")
     if len(set(xs)) != len(xs):
         raise DomainError(f"abscissae must be distinct, got {shown(xs)}")
     tab = list(ys)

@@ -23,8 +23,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._kernels import shifted_power_sum
-from .cotderiv import _DOUBLE_MAX, _eval_order, eval_cot_deriv_pi
-from .errors import DomainError, PoleError, TableCapacityError, as_index, as_real, shown
+from .cotderiv import _eval_order, eval_cot_deriv_pi
+from .errors import (
+    DOUBLE_MAX,
+    DomainError,
+    PoleError,
+    TableCapacityError,
+    as_finite,
+    as_index,
+    as_real,
+    shown,
+)
 
 # Shift target for the recurrence region; arguments at or above this go
 # straight to the asymptotic series.
@@ -180,8 +189,7 @@ def _out_of_range(order: int, x: float) -> DomainError:
 def polygamma(order: int, x: float) -> PolygammaResult:
     """Evaluate the order-th polygamma at real x with path bookkeeping."""
     order = _eval_order(order)
-    if not abs(as_real(x, "argument")) <= _DOUBLE_MAX:
-        raise DomainError(f"argument must be finite, got {shown(x)}")
+    as_finite(x, "argument")
     try:
         if x >= 0.5:
             value, shifts = _positive(order, x)
@@ -224,7 +232,7 @@ def polygamma_series_oracle(order: int, x: float) -> float:
     production use.  At order 0 the series diverges.
     """
     order = _eval_order(order, 1)
-    if not 0 < as_real(x, "argument") <= _DOUBLE_MAX:
+    if not 0 < as_real(x, "argument") <= DOUBLE_MAX:
         raise DomainError(f"argument must be positive and finite, got {shown(x)}")
     s = order + 1
     a = x + ORACLE_TERMS

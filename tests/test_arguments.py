@@ -1,7 +1,8 @@
 """The argument contract shared by every public entry point.
 
 Integer arguments pass through ``errors.as_index``, sequences of them
-through ``errors.as_indices`` and real ones through ``errors.as_real``.  A
+through ``errors.as_indices`` and real ones through ``errors.as_real``, or
+``errors.as_finite`` where they must lie in double range.  A
 wrong type, a value below its bound or an int too long to print raises
 ``DomainError`` (or a subclass of it), never ``TypeError`` or ``ValueError``.
 No case passes a huge *valid* order, such as ``expansion(H)``: that would
@@ -22,6 +23,9 @@ from polylim import (
     CotPolynomial,
     DomainError,
     LimitSpec,
+    PoleGerm,
+    PolygammaResult,
+    ProbeReport,
     bernoulli,
     coeff,
     coeff_unified,
@@ -38,7 +42,7 @@ from polylim import (
     probe_limit,
     reflection_residual,
 )
-from polylim import cotderiv
+from polylim import cotderiv, verify
 
 # The public names, listed so that a change to the surface is deliberate.
 PUBLIC_NAMES = [
@@ -187,16 +191,10 @@ def test_bound_messages(call, message):
 
 # Records and arguments that are neither one integer nor one real number.
 STRUCTURED_ARGUMENTS = [
-    (lambda: CotDerivExpansion(2.5, 3.5, ()), "order must be an integer, got 2.5"),
     (
         lambda: CotPolynomial(("a",)).evaluate(1.0),
         "coefficients[0] must be an integer, got 'a'",
     ),
-    (
-        lambda: CotDerivExpansion(True, 2, ((0, -1),)),
-        "order must be an integer, got True",
-    ),
-    (lambda: CotDerivExpansion(H, H + 1, ()), "harmonics must cover multipliers"),
     (lambda: LimitSpec(["gamma"], 1, 1), "unknown limit family: ['gamma']"),
     (
         lambda: harmonics_from_polynomial(3, "x"),
@@ -216,6 +214,20 @@ def test_structured_argument_is_domain_error(call, message):
     with pytest.raises(DomainError) as excinfo:
         call()
     assert str(excinfo.value).startswith(message)
+
+
+def test_only_input_records_check_their_fields():
+    # LimitSpec and CotPolynomial are what public calls take as input, so
+    # they check their fields; the records the library only returns are plain
+    # data and keep the namedtuple's own constructor.
+    with pytest.raises(DomainError):
+        LimitSpec(FAMILY_POLYGAMMA, 0, 1)
+    with pytest.raises(DomainError):
+        CotPolynomial((0.5,))
+    outputs = (CotDerivExpansion, PolygammaResult, PoleGerm, ProbeReport,
+               verify.CheckResult)
+    for record in outputs:
+        assert "__new__" not in vars(record), record.__name__
 
 
 # A non-finite argument, results beyond double range, and sizes beyond what
@@ -253,6 +265,16 @@ RANGE_LIMITS = {
     "LimitSpec(gamma, 2, 1, G).germs()": (
         lambda: LimitSpec(FAMILY_GAMMA, 2, 1, G).germs(),
         f"gamma-ratio limit exceeds exact arithmetic range, got n=2, q=1, k={G}, i=0",
+    ),
+    # The cap that polygamma and the CLI's --i have; without it (q/n)**(G+1)
+    # would start a power that does not finish.
+    "polygamma_ratio_limit(171, 2, 1)": (
+        lambda: polygamma_ratio_limit(171, 2, 1),
+        "derivative order 171 exceeds double precision range (max 170)",
+    ),
+    "polygamma_ratio_limit(G, 2, 1)": (
+        lambda: polygamma_ratio_limit(G, 2, 1),
+        f"derivative order {G} exceeds double precision range (max 170)",
     ),
 }
 

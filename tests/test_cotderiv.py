@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polylim import (
-    CotDerivExpansion,
     CotPolynomial,
     DomainError,
     HarmonicRangeError,
@@ -149,20 +148,10 @@ class TestExpansion:
             cotderiv.expansions_up_to(max_order)
 
     def test_public_constructors_rebuild_every_table(self):
-        # expansion and oracle_expansion build their records without the
-        # constructors' checks; each record must still pass them.
-        for p in range(1, 221):
-            assert CotDerivExpansion(*expansion(p)) == expansion(p), p
+        # oracle_expansion builds its records without the constructor's
+        # checks; each record must still pass them.
         for p in range(61):
             assert CotPolynomial(*oracle_expansion(p)) == oracle_expansion(p), p
-
-    def test_invalid_construction_rejected(self):
-        with pytest.raises(DomainError):
-            CotDerivExpansion(order=2, sin_exponent=2, harmonics=((1, 2),))
-        with pytest.raises(DomainError):
-            CotDerivExpansion(order=2, sin_exponent=3, harmonics=((0, 2),))
-        with pytest.raises(DomainError):
-            CotDerivExpansion(3, 4, ((1, 2),))
 
 
 def textbook_sum(n, a, m):
