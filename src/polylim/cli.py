@@ -14,19 +14,15 @@ import contextlib
 import sys
 
 from . import cotderiv, limits, verify
-from .errors import PolylimError
+from .errors import MAX_EVAL_ORDER, MAX_TABLE_ORDER, PolylimError
 from .polygamma import polygamma
 
-# Largest order `coeffs` builds tables for.  Its biggest coefficient has 2567
+# `coeffs` and the polygamma family of `limit` take the library's caps, checked
+# here first so that exceeding one is a usage error (exit 2).  Only
+# MAX_GAMMA_FACTORIAL is the CLI's own: it bounds printed digits, not work.
+# The gamma family prints (max(n, q) * k)!-sized integers; 1000! has 2568
 # digits, below Python's 4300-digit limit on int-to-str conversion.
-MAX_COEFF_ORDER = 1000
-
-# Bounds on `limit`, for the same reason: the gamma family prints
-# (max(n, q) * k)!-sized integers and 1000! has 2568 digits; the polygamma
-# family prints (q/n)**(i+1) with i at most cotderiv.MAX_EVAL_ORDER, the
-# highest order the polygamma evaluator takes, so at most 514 digits.
 MAX_GAMMA_FACTORIAL = 1000
-MAX_LIMIT_SCALE = 1000
 
 _FAMILIES = {
     "gamma": limits.FAMILY_GAMMA,
@@ -52,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="expansion tables for orders 1..P")
     p.add_argument(
-        "--order", type=int, required=True, help=f"P, at most {MAX_COEFF_ORDER}"
+        "--order", type=int, required=True, help=f"P, at most {MAX_TABLE_ORDER}"
     )
     add_io_flags(p)
 
@@ -253,9 +249,9 @@ def _cap_violation(args) -> str | None:
 
     Values below a family's domain pass, so that the library reports them.
     """
-    if args.subcommand == "coeffs" and args.order > MAX_COEFF_ORDER:
+    if args.subcommand == "coeffs" and args.order > MAX_TABLE_ORDER:
         return (
-            f"argument --order: at most {MAX_COEFF_ORDER} for coeffs, "
+            f"argument --order: at most {MAX_TABLE_ORDER} for coeffs, "
             f"got {args.order}"
         )
     if args.subcommand != "limit":
@@ -268,14 +264,14 @@ def _cap_violation(args) -> str | None:
                 f"{MAX_GAMMA_FACTORIAL} for the gamma family, got "
                 f"{scale} * {args.k}"
             )
-    elif args.i > cotderiv.MAX_EVAL_ORDER:
+    elif args.i > MAX_EVAL_ORDER:
         return (
-            f"argument --i: at most {cotderiv.MAX_EVAL_ORDER} for the polygamma "
+            f"argument --i: at most {MAX_EVAL_ORDER} for the polygamma "
             f"family, got {args.i}"
         )
-    elif scale > MAX_LIMIT_SCALE:
+    elif scale > limits.MAX_LIMIT_SCALE:
         return (
-            f"argument --n/--q: at most {MAX_LIMIT_SCALE} for the polygamma "
+            f"argument --n/--q: at most {limits.MAX_LIMIT_SCALE} for the polygamma "
             f"family, got {scale}"
         )
     return None

@@ -24,13 +24,14 @@ evaluates the closed form, and carries three independent routes to them:
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
 from .errors import (
+    MAX_EVAL_ORDER,  # kept as cotderiv.MAX_EVAL_ORDER for callers
+    MAX_TABLE_ORDER,
     DomainError,
     HarmonicRangeError,
     InvalidHarmonicError,
@@ -38,18 +39,15 @@ from .errors import (
     as_finite,
     as_index,
     as_indices,
+    as_order,
     as_real,
+    out_of_range,
     shown,
 )
 
 # |sin x| below this is treated as sitting on a pole of cot and its
 # derivatives; callers that need closer approaches use the probe machinery.
 POLE_GUARD = 1e-12
-
-# Highest order of every double-precision evaluation, polygamma's included:
-# above it the integer coefficients and order! (171! > 1.8e308) exceed double
-# range.  Exact generation still works, float evaluation does not.
-MAX_EVAL_ORDER = 170
 
 
 class CotDerivExpansion(
@@ -91,9 +89,7 @@ class CotPolynomial(namedtuple("CotPolynomial", "coefficients")):
         except OverflowError:  # a coefficient beyond double range
             acc = math.inf
         if not math.isfinite(acc):
-            raise DomainError(
-                f"cot polynomial at t={shown(t)} exceeds double precision range"
-            )
+            raise out_of_range(f"cot polynomial at t={shown(t)}")
         return acc
 
 
@@ -111,10 +107,8 @@ def _harmonic_index(order, multiplier, unified: bool = False) -> tuple[int, int]
             f"multiplier {shown(q)} out of range for order {shown(p)} "
             "(need multiplier < order)"
         )
-    if p > sys.maxsize:  # math.comb takes no larger size
-        raise DomainError(
-            f"order {shown(p)} exceeds exact arithmetic range (max {sys.maxsize})"
-        )
+    if p > MAX_TABLE_ORDER:  # last, so that a huge p gets the messages above
+        as_order(p, exact=True)  # raises the cap's DomainError
     return p, q
 
 
@@ -221,7 +215,7 @@ def _numerator_row(order: int) -> list[int]:
 @lru_cache(maxsize=None)
 def expansion(order: int) -> CotDerivExpansion:
     """Full closed form of cot^(order) with all harmonics populated."""
-    order = as_index(order, "order", 1)
+    order = as_order(order, minimum=1, exact=True)
     row = _numerator_row(order)
     start = 0 if order % 2 else 1
     harmonics = tuple(zip(range(start, order, 2), row[start:order:2]))
@@ -237,25 +231,13 @@ def _checked_quotient(num: float, denom: float, order: int, label: str, arg) -> 
     """
     value = num / denom if denom else math.inf
     if not math.isfinite(value):
-        raise DomainError(
-            f"cot^({order}) at {label}{shown(arg)} exceeds double precision range"
-        )
+        raise out_of_range(f"cot^({order}) at {label}{shown(arg)}")
     return value
-
-
-def _eval_order(order, minimum: int = 0) -> int:
-    """Validate the order of a double-precision evaluation; return an int."""
-    order = as_index(order, "order", minimum)
-    if order <= MAX_EVAL_ORDER:
-        return order
-    raise DomainError(
-        f"order {shown(order)} exceeds double precision range (max {MAX_EVAL_ORDER})"
-    )
 
 
 def eval_cot_deriv(order: int, x: float) -> float:
     """Evaluate cot^(order) at x (radians) in double precision."""
-    order = _eval_order(order)
+    order = as_order(order)
     as_finite(x, "argument")
     s = math.sin(x)
     if abs(s) < POLE_GUARD:
@@ -280,7 +262,7 @@ def eval_cot_deriv_pi(order: int, z: float) -> float:
     which direct evaluation at the rounded product pi*z cannot do.  Used by
     the polygamma reflection path and by ``reflection_residual``.
     """
-    order = _eval_order(order)
+    order = as_order(order)
     if not abs(as_real(z, "argument")) < 2.0**52:
         raise DomainError(f"argument out of reducible range: {shown(z)}")
     m = round(z)
@@ -307,7 +289,7 @@ def oracle_expansion(order: int) -> CotPolynomial:
     Base case is the identity polynomial t; each step applies
     P(t) -> P'(t) * (-1 - t**2), which is d/dx applied through t = cot x.
     """
-    order = as_index(order, "order", 0)
+    order = as_order(order, exact=True)
     cur = [0, 1]
     for _ in range(order):
         deriv = [(i + 1) * c for i, c in enumerate(cur[1:])]
@@ -379,7 +361,7 @@ def harmonics_from_polynomial(
     rational arithmetic.  This route never touches the harmonic-coefficient
     formulas, so agreement with them is a genuine cross-check.
     """
-    order = as_index(order, "order", 1)
+    order = as_order(order, minimum=1, exact=True)
     if not isinstance(poly, CotPolynomial):
         raise DomainError(f"poly must be a CotPolynomial, got {shown(poly, repr)}")
     if poly.degree != order + 1:
@@ -413,5 +395,5 @@ def expansions_up_to(max_order: int) -> Iterator[CotDerivExpansion]:
     The order is checked at the call, before any table is built, so a caller
     that streams the tables fails before writing anything.
     """
-    max_order = as_index(max_order, "max_order", 1)
+    max_order = as_order(max_order, "max_order", 1, exact=True)
     return map(expansion, range(1, max_order + 1))

@@ -8,6 +8,13 @@ import sys
 # Largest double; math.isfinite raises OverflowError for an int beyond it.
 DOUBLE_MAX = sys.float_info.max
 
+# Highest order of every double-precision evaluation, polygamma's included:
+# above it the coefficients and order! (171! > 1.8e308) exceed double range.
+MAX_EVAL_ORDER = 170
+# Highest order of the exact tables: at 1000 the largest coefficient has 2567
+# digits, below Python's 4300-digit limit on int-to-str conversion.
+MAX_TABLE_ORDER = 1000
+
 
 class PolylimError(Exception):
     """Base class for all errors raised by this package."""
@@ -88,6 +95,26 @@ def as_index(value, name: str, minimum: int | None = None) -> int:
             f"{name.replace('_', ' ')} must be >= {minimum}, got {shown(index)}"
         )
     return index
+
+
+def as_order(value, name: str = "order", minimum: int = 0, exact: bool = False) -> int:
+    """Coerce an order as by as_index and cap it at MAX_EVAL_ORDER.
+
+    With ``exact`` the cap is MAX_TABLE_ORDER, the exact tables' bound:
+    ``order 1001 exceeds exact arithmetic range (max 1000)``.
+    """
+    order = as_index(value, name, minimum)
+    maximum = MAX_TABLE_ORDER if exact else MAX_EVAL_ORDER
+    if order <= maximum:
+        return order
+    arithmetic = "exact arithmetic" if exact else "double precision"
+    raise DomainError(f"{name.replace('_', ' ')} {shown(order)} exceeds "
+                      f"{arithmetic} range (max {maximum})")
+
+
+def out_of_range(subject: str) -> DomainError:
+    """The error for a result beyond double range, named by ``subject``."""
+    return DomainError(f"{subject} exceeds double precision range")
 
 
 def as_tuple(value, name: str) -> tuple:

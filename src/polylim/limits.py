@@ -18,14 +18,16 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .cotderiv import MAX_EVAL_ORDER, POLE_GUARD
+from .cotderiv import POLE_GUARD
 from .errors import (
     DomainError,
     PoleError,
     ProbeFailureError,
     as_finite,
     as_index,
+    as_order,
     as_tuple,
+    out_of_range,
     shown,
 )
 from .polygamma import polygamma
@@ -39,6 +41,10 @@ EPS0 = 0.05
 LEVELS = 8
 # A probe converges when its extrapolation lies within this of the target.
 TOLERANCE = 1e-5
+
+# Caps on the work of an exact limit; LimitSpec's docstring says which is whose.
+MAX_GAMMA_FACTORIAL_SIZE = 10**4
+MAX_LIMIT_SCALE = 1000
 
 
 class PoleGerm(namedtuple("PoleGerm", "coefficient pole_order")):
@@ -85,9 +91,11 @@ class LimitSpec(
 ):
     """Which pole-ratio limit to take: family, scales, pole, derivative order.
 
-    The gamma family takes derivative order 0 only, the polygamma family at
-    most MAX_EVAL_ORDER.  ``pole_index`` does not change the polygamma
-    family's exact value but selects where the probe samples.
+    The gamma family takes derivative order 0 only and max(n, q) * k at most
+    MAX_GAMMA_FACTORIAL_SIZE; the polygamma family takes derivative order at
+    most errors.MAX_EVAL_ORDER and scales at most MAX_LIMIT_SCALE.
+    ``pole_index`` does not change the polygamma family's exact value but
+    selects where the probe samples.
     """
 
     __slots__ = ()
@@ -104,27 +112,35 @@ class LimitSpec(
                 f"q={shown(denominator_scale)}"
             )
         pole_index = as_index(pole_index, "pole_index", 0)
-        derivative_order = as_index(derivative_order, "derivative_order", 0)
-        if family == FAMILY_GAMMA and derivative_order:
-            raise DomainError(
-                f"the {family} family takes derivative order 0 only, "
-                f"got {shown(derivative_order)}"
-            )
-        if derivative_order > MAX_EVAL_ORDER:
-            raise DomainError(
-                f"derivative order {shown(derivative_order)} exceeds double "
-                f"precision range (max {MAX_EVAL_ORDER})"
-            )
-        return super().__new__(cls, family, numerator_scale, denominator_scale,
-                               pole_index, derivative_order)
+        scale = (numerator_scale if numerator_scale > denominator_scale
+                 else denominator_scale)  # max() costs a call on every spec
+        if family == FAMILY_GAMMA:
+            derivative_order = as_index(derivative_order, "derivative_order", 0)
+            if derivative_order:
+                raise DomainError(
+                    f"the {family} family takes derivative order 0 only, "
+                    f"got {shown(derivative_order)}"
+                )
+            too_large = scale * pole_index > MAX_GAMMA_FACTORIAL_SIZE
+        else:
+            derivative_order = as_order(derivative_order, "derivative_order")
+            too_large = scale > MAX_LIMIT_SCALE
+        spec = tuple.__new__(cls, (family, numerator_scale, denominator_scale,
+                                   pole_index, derivative_order))
+        if too_large:
+            family, n, q, k, i = map(shown, spec)
+            raise DomainError(f"{family} limit exceeds exact arithmetic range, "
+                              f"got n={n}, q={q}, k={k}, i={i}")
+        return spec
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds here; check as the constructor does
+        return cls(*iterable)
 
     def germs(self) -> tuple[PoleGerm, PoleGerm]:
         """The numerator's and the denominator's germs at z = -pole_index."""
         germ, k, i = _GERMS[self.family], self.pole_index, self.derivative_order
-        try:
-            return germ(self.numerator_scale, k, i), germ(self.denominator_scale, k, i)
-        except OverflowError:
-            raise _beyond_exact_range(self) from None
+        return germ(self.numerator_scale, k, i), germ(self.denominator_scale, k, i)
 
     def target(self) -> Fraction:
         """The exact limit: the quotient of the two germ coefficients.
@@ -133,19 +149,7 @@ class LimitSpec(
         factorial is built.
         """
         family, n, q, k, i = self
-        try:
-            return _QUOTIENTS[family](n, q, k, i)
-        except OverflowError:
-            raise _beyond_exact_range(self) from None
-
-
-def _beyond_exact_range(spec: LimitSpec) -> DomainError:
-    # math.factorial and math.perm take no size above sys.maxsize.
-    family, n, q, k, i = map(shown, spec)
-    return DomainError(
-        f"{family} limit exceeds exact arithmetic range, "
-        f"got n={n}, q={q}, k={k}, i={i}"
-    )
+        return _QUOTIENTS[family](n, q, k, i)
 
 
 def gamma_ratio_limit(
@@ -260,10 +264,7 @@ def probe_limit(spec: LimitSpec) -> ProbeReport:
             ) from exc
         except OverflowError:
             # A scale too large for a float, or a ratio beyond double range.
-            raise DomainError(
-                f"probe sample at z={-spec.pole_index + eps} exceeds double "
-                "precision range"
-            ) from None
+            raise out_of_range(f"probe sample at z={-spec.pole_index + eps}") from None
     extrapolated = neville_extrapolate(epsilons, tuple(samples))
     target = spec.target()
     abs_error = abs(extrapolated - float(target))

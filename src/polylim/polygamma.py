@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._kernels import shifted_power_sum
-from .cotderiv import _eval_order, eval_cot_deriv_pi
+from .cotderiv import eval_cot_deriv_pi
 from .errors import (
     DOUBLE_MAX,
     DomainError,
@@ -31,7 +31,9 @@ from .errors import (
     TableCapacityError,
     as_finite,
     as_index,
+    as_order,
     as_real,
+    out_of_range,
     shown,
 )
 
@@ -180,15 +182,9 @@ def _positive(order: int, x: float) -> tuple[float, int]:
     return value, shifts
 
 
-def _out_of_range(order: int, x: float) -> DomainError:
-    return DomainError(
-        f"polygamma of order {order} at x={shown(x)} exceeds double precision range"
-    )
-
-
 def polygamma(order: int, x: float) -> PolygammaResult:
     """Evaluate the order-th polygamma at real x with path bookkeeping."""
-    order = _eval_order(order)
+    order = as_order(order)
     as_finite(x, "argument")
     try:
         if x >= 0.5:
@@ -211,7 +207,7 @@ def polygamma(order: int, x: float) -> PolygammaResult:
         # large arguments (x**(order + 2) at polygamma(3, 1e300)).
         value = math.inf
     if not math.isfinite(value):
-        raise _out_of_range(order, x)
+        raise out_of_range(f"polygamma of order {order} at x={shown(x)}")
     return PolygammaResult(order, x, value, method, shifts)
 
 
@@ -231,7 +227,7 @@ def polygamma_series_oracle(order: int, x: float) -> float:
     with the evaluation paths.  Intended as an independent check, not for
     production use.  At order 0 the series diverges.
     """
-    order = _eval_order(order, 1)
+    order = as_order(order, minimum=1)
     if not 0 < as_real(x, "argument") <= DOUBLE_MAX:
         raise DomainError(f"argument must be positive and finite, got {shown(x)}")
     s = order + 1
@@ -248,7 +244,7 @@ def polygamma_series_oracle(order: int, x: float) -> float:
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
-        raise _out_of_range(order, x)
+        raise out_of_range(f"polygamma of order {order} at x={shown(x)}")
     return total if order % 2 else -total
 
 
@@ -262,7 +258,7 @@ def reflection_residual(order: int, z: float) -> float:
     values are computed through the positive-argument paths only, never
     through reflection, so a small residual genuinely verifies the identity.
     """
-    order = _eval_order(order)
+    order = as_order(order)
     if not (0.0 < as_real(z, "z") < 1.0):
         raise DomainError(f"z must lie strictly inside (0, 1), got {shown(z)}")
     try:
@@ -275,8 +271,5 @@ def reflection_residual(order: int, z: float) -> float:
     except OverflowError:
         residual = math.inf
     if not math.isfinite(residual):
-        raise DomainError(
-            f"reflection residual of order {order} at z={shown(z)} exceeds double "
-            "precision range"
-        )
+        raise out_of_range(f"reflection residual of order {order} at z={shown(z)}")
     return residual

@@ -5,11 +5,9 @@ through ``errors.as_indices`` and real ones through ``errors.as_real``, or
 ``errors.as_finite`` where they must lie in double range.  A
 wrong type, a value below its bound or an int too long to print raises
 ``DomainError`` (or a subclass of it), never ``TypeError`` or ``ValueError``.
-No case passes a huge *valid* order, such as ``expansion(H)``: that would
-start unbounded work.
+An order or a size above its cap is rejected before any work starts.
 """
 import math
-import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -230,8 +228,8 @@ def test_only_input_records_check_their_fields():
         assert "__new__" not in vars(record), record.__name__
 
 
-# A non-finite argument, results beyond double range, and sizes beyond what
-# math.comb, math.perm and math.factorial take (sys.maxsize).
+# A non-finite argument, results beyond double range, and orders and sizes
+# beyond the caps on exact work.
 G = 10**400
 RANGE_LIMITS = {
     "evaluate(nan)": (
@@ -252,11 +250,27 @@ RANGE_LIMITS = {
     ),
     "coeff(G, 1)": (
         lambda: coeff(G, 1),
-        f"order {G} exceeds exact arithmetic range (max {sys.maxsize})",
+        f"order {G} exceeds exact arithmetic range (max 1000)",
     ),
     "coeff_unified(G, 1)": (
         lambda: coeff_unified(G, 1),
-        f"order {G} exceeds exact arithmetic range (max {sys.maxsize})",
+        f"order {G} exceeds exact arithmetic range (max 1000)",
+    ),
+    "coeff(1001, 2)": (
+        lambda: coeff(1001, 2),
+        "order 1001 exceeds exact arithmetic range (max 1000)",
+    ),
+    "expansion(10**6)": (
+        lambda: expansion(10**6),
+        "order 1000000 exceeds exact arithmetic range (max 1000)",
+    ),
+    "expansions_up_to(1001)": (
+        lambda: cotderiv.expansions_up_to(1001),
+        "max order 1001 exceeds exact arithmetic range (max 1000)",
+    ),
+    "oracle_expansion(10**400)": (
+        lambda: oracle_expansion(G),
+        f"order {G} exceeds exact arithmetic range (max 1000)",
     ),
     "gamma_ratio_limit(2, 1, G)": (
         lambda: gamma_ratio_limit(2, 1, G),
@@ -265,6 +279,20 @@ RANGE_LIMITS = {
     "LimitSpec(gamma, 2, 1, G).germs()": (
         lambda: LimitSpec(FAMILY_GAMMA, 2, 1, G).germs(),
         f"gamma-ratio limit exceeds exact arithmetic range, got n=2, q=1, k={G}, i=0",
+    ),
+    "LimitSpec._replace(pole_index=G)": (
+        lambda: LimitSpec(FAMILY_GAMMA, 2, 1, 1)._replace(pole_index=G).target(),
+        f"gamma-ratio limit exceeds exact arithmetic range, got n=2, q=1, k={G}, i=0",
+    ),
+    "probe_limit(LimitSpec(gamma, 2, 1, 10**6))": (
+        lambda: probe_limit(LimitSpec(FAMILY_GAMMA, 2, 1, 10**6)),
+        "gamma-ratio limit exceeds exact arithmetic range, "
+        "got n=2, q=1, k=1000000, i=0",
+    ),
+    "polygamma_ratio_limit(2, 1001, 1)": (
+        lambda: polygamma_ratio_limit(2, 1001, 1),
+        "polygamma-ratio limit exceeds exact arithmetic range, "
+        "got n=1001, q=1, k=0, i=2",
     ),
     # The cap that polygamma and the CLI's --i have; without it (q/n)**(G+1)
     # would start a power that does not finish.

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -21,7 +22,8 @@ from polylim import (
     probe_limit,
     verify,
 )
-from polylim.cli import MAX_COEFF_ORDER, main
+from polylim.cli import main
+from polylim.errors import MAX_EVAL_ORDER, MAX_TABLE_ORDER
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -761,8 +763,48 @@ class TestUsageErrors:
         assert cp.returncode == 2
 
     def test_coeffs_order_above_cap(self):
-        cp = run_cli("coeffs", "--order", str(MAX_COEFF_ORDER + 1))
+        cp = run_cli("coeffs", "--order", str(MAX_TABLE_ORDER + 1))
         assert cp.returncode == 2
         assert "usage" in cp.stderr.lower()
-        assert f"at most {MAX_COEFF_ORDER}" in cp.stderr
+        assert f"at most {MAX_TABLE_ORDER}" in cp.stderr
         assert cp.stdout == ""
+
+    # Each cap the CLI shares with the library: the CLI's arguments and the
+    # library call at a value, and the library's bound.
+    SHARED_CAPS = {
+        "coeffs --order": (
+            lambda v: ["coeffs", "--order", str(v)],
+            cotderiv.expansions_up_to,
+            MAX_TABLE_ORDER,
+        ),
+        "limit --i": (
+            lambda v: ["limit", "--family", "polygamma", "--i", str(v),
+                       "--n", "2", "--q", "1"],
+            lambda v: limits.polygamma_ratio_limit(v, 2, 1),
+            MAX_EVAL_ORDER,
+        ),
+        "limit --n": (
+            lambda v: ["limit", "--family", "polygamma", "--n", str(v),
+                       "--q", "1"],
+            lambda v: limits.polygamma_ratio_limit(1, v, 1),
+            limits.MAX_LIMIT_SCALE,
+        ),
+    }
+
+    @pytest.mark.parametrize("cap", SHARED_CAPS)
+    def test_cli_cap_is_the_library_bound(self, capsys, monkeypatch, cap):
+        argv, call, bound = self.SHARED_CAPS[cap]
+        # coeffs at its cap prints 350M digits; keep the library's check at
+        # the call and let it build the first table only.
+        real = cotderiv.expansions_up_to
+        monkeypatch.setattr(
+            cotderiv, "expansions_up_to", lambda n: itertools.islice(real(n), 1)
+        )
+        call(bound)
+        assert main(argv(bound)) == 0
+        with pytest.raises(DomainError):
+            call(bound + 1)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv(bound + 1))
+        assert excinfo.value.code == 2
+        assert f"at most {bound}" in capsys.readouterr().err

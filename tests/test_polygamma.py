@@ -382,15 +382,15 @@ def test_order_is_validated_once_per_public_call(monkeypatch, function, x, check
     for name in ("polylim.polygamma", "polylim.cotderiv"):
         # The package attribute polylim.polygamma is the function, not the module.
         module = importlib.import_module(name)
-        monkeypatch.setattr(module, "as_index", _recording(module.as_index, names))
+        monkeypatch.setattr(module, "as_order", _recording(module.as_order, names))
     function(3, x)
     assert names == ["order"] * checks
 
 
-def _recording(as_index, names):
-    def recorded(value, name, minimum=None):
+def _recording(as_order, names):
+    def recorded(value, name="order", **bounds):
         names.append(name)
-        return as_index(value, name, minimum)
+        return as_order(value, name, **bounds)
 
     return recorded
 
