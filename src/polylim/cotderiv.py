@@ -15,8 +15,6 @@ evaluates the closed form, and carries three independent routes to them:
   ``coeff_unified``, which serve point requests and cross-checks.  Each
   coefficient is an integer multiple of the alternating sum
   sum_{l<a} (-1)**l C(m+1, l) (a-l)**m, the Eulerian number <m, a-1>;
-  ``_alternating_sum`` walks its bases a-l upwards from 1 and builds most
-  of their powers from smaller ones;
 * a polynomial oracle: the same derivative written as an integer polynomial
   in t = cot x, obtained by repeatedly applying  P(t) -> P'(t) * (-1 - t**2),
   and rewritten exactly into the cosine basis.
@@ -48,6 +46,7 @@ from .errors import (
 # |sin x| below this is treated as sitting on a pole of cot and its
 # derivatives; callers that need closer approaches use the probe machinery.
 POLE_GUARD = 1e-12
+MAX_ORACLE_ORDER = 100  # harmonics_from_polynomial: cubic work, 1.2 s at 100
 
 
 class CotDerivExpansion(
@@ -75,6 +74,10 @@ class CotPolynomial(namedtuple("CotPolynomial", "coefficients")):
 
     def __new__(cls, coefficients: tuple[int, ...]):
         return super().__new__(cls, as_indices(coefficients, "coefficients"))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds here; check as the constructor does
+        return cls(*iterable)
 
     @property
     def degree(self) -> int:
@@ -222,13 +225,22 @@ def expansion(order: int) -> CotDerivExpansion:
     return CotDerivExpansion(order, order + 1, harmonics)
 
 
-def _checked_quotient(num: float, denom: float, order: int, label: str, arg) -> float:
-    """num / sin**(order+1), or DomainError when it leaves double range.
+def _closed_form(order: int, s: float, scale: float, theta: float, label, arg) -> float:
+    """cot^(order) at the angle scale * theta, whose sine is s.
 
-    Near a pole the power of sin underflows to 0 (or the quotient overflows)
-    long before the pole guard trips, for orders above about 20.  The error
-    names the point as ``label`` followed by ``arg``, formatted only on failure.
+    The loop adds in harmonic order on every Python: sum() over floats is
+    compensated from 3.12 on.  Near a pole s**(order+1) underflows to 0 long
+    before the pole guard trips, for orders above about 20.  A result that is
+    not finite is a DomainError naming the point as ``label`` followed by ``arg``.
     """
+    harmonics = expansion(order).harmonics if order else ((1, 1),)  # cos x / sin x
+    num = 0.0
+    try:
+        for j, b in harmonics:
+            num += b * math.cos(scale * (j * theta))
+    except ValueError:  # j * theta beyond double range is inf, and cos(inf) raises
+        num = math.nan
+    denom = s ** (order + 1)
     value = num / denom if denom else math.inf
     if not math.isfinite(value):
         raise out_of_range(f"cot^({order}) at {label}{shown(arg)}")
@@ -241,17 +253,9 @@ def eval_cot_deriv(order: int, x: float) -> float:
     as_finite(x, "argument")
     s = math.sin(x)
     if abs(s) < POLE_GUARD:
-        raise PoleError(
-            f"x={shown(x)} is within the pole guard of a multiple of pi",
-            location=math.pi * round(x / math.pi),
-        )
-    if order == 0:
-        return math.cos(x) / s
-    try:
-        num = sum(b * math.cos(j * x) for j, b in expansion(order).harmonics)
-    except ValueError:  # j * x beyond double range is inf, and cos(inf) raises
-        num = math.nan
-    return _checked_quotient(num, s ** (order + 1), order, "x=", x)
+        raise PoleError(f"x={shown(x)} is within the pole guard of a multiple of pi",
+                        location=math.pi * round(x / math.pi))
+    return _closed_form(order, s, 1.0, x, "x=", x)
 
 
 def eval_cot_deriv_pi(order: int, z: float) -> float:
@@ -270,16 +274,10 @@ def eval_cot_deriv_pi(order: int, z: float) -> float:
     s = math.sin(math.pi * d)
     if abs(s) < POLE_GUARD:
         raise PoleError(f"pi*{shown(z)} is within the pole guard of a pole", location=m)
-    if order == 0:
-        # cot has period pi, so the integer part drops out entirely.
-        return math.cos(math.pi * d) / s
     # Shifting by m multiplies cos(j*pi*z) by (-1)**(j*m) and
     # sin(pi*z)**(order+1) by (-1)**(m*(order+1)).  Every multiplier j has the
     # parity of order + 1, so the two signs cancel and only d enters.
-    num = 0.0
-    for j, b in expansion(order).harmonics:
-        num += b * math.cos(math.pi * (j * d))
-    return _checked_quotient(num, s ** (order + 1), order, "pi*", z)
+    return _closed_form(order, s, math.pi, d, "pi*", z)
 
 
 @lru_cache(maxsize=None)
@@ -298,8 +296,7 @@ def oracle_expansion(order: int) -> CotPolynomial:
             nxt[i] -= c
             nxt[i + 2] -= c
         cur = nxt
-    # Integers by construction, so _make skips the constructor's coercion.
-    return CotPolynomial._make((tuple(cur),))
+    return CotPolynomial(cur)
 
 
 def _fold_cos(d: dict[int, Fraction], j: int, val: Fraction) -> None:
@@ -315,28 +312,26 @@ def _fold_sin(d: dict[int, Fraction], j: int, val: Fraction) -> None:
 
 
 def _multiply_by_cos(cosd, sind):
-    half = Fraction(1, 2)
     nc: dict[int, Fraction] = {}
     ns: dict[int, Fraction] = {}
     for j, v in cosd.items():
-        _fold_cos(nc, j + 1, half * v)
-        _fold_cos(nc, j - 1, half * v)
+        _fold_cos(nc, j + 1, v / 2)
+        _fold_cos(nc, j - 1, v / 2)
     for j, v in sind.items():
-        _fold_sin(ns, j + 1, half * v)
-        _fold_sin(ns, j - 1, half * v)
+        _fold_sin(ns, j + 1, v / 2)
+        _fold_sin(ns, j - 1, v / 2)
     return nc, ns
 
 
 def _multiply_by_sin(cosd, sind):
-    half = Fraction(1, 2)
     nc: dict[int, Fraction] = {}
     ns: dict[int, Fraction] = {}
     for j, v in cosd.items():
-        _fold_sin(ns, j + 1, half * v)
-        _fold_sin(ns, j - 1, -half * v)
+        _fold_sin(ns, j + 1, v / 2)
+        _fold_sin(ns, j - 1, -v / 2)
     for j, v in sind.items():
-        _fold_cos(nc, j - 1, half * v)
-        _fold_cos(nc, j + 1, -half * v)
+        _fold_cos(nc, j - 1, v / 2)
+        _fold_cos(nc, j + 1, -v / 2)
     return nc, ns
 
 
@@ -361,7 +356,10 @@ def harmonics_from_polynomial(
     rational arithmetic.  This route never touches the harmonic-coefficient
     formulas, so agreement with them is a genuine cross-check.
     """
-    order = as_order(order, minimum=1, exact=True)
+    order = as_index(order, "order", 1)
+    if order > MAX_ORACLE_ORDER:
+        raise DomainError(f"order {shown(order)} exceeds the polynomial oracle's "
+                          f"bound (max {MAX_ORACLE_ORDER})")
     if not isinstance(poly, CotPolynomial):
         raise DomainError(f"poly must be a CotPolynomial, got {shown(poly, repr)}")
     if poly.degree != order + 1:

@@ -5,13 +5,17 @@ through ``errors.as_indices`` and real ones through ``errors.as_real``, or
 ``errors.as_finite`` where they must lie in double range.  A
 wrong type, a value below its bound or an int too long to print raises
 ``DomainError`` (or a subclass of it), never ``TypeError`` or ``ValueError``.
-An order or a size above its cap is rejected before any work starts.
+An order or a size above its cap is rejected before any work starts.  The
+totality property at the end draws arguments of every kind for every public
+callable.
 """
 import math
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polylim
 from polylim import (
@@ -23,6 +27,7 @@ from polylim import (
     LimitSpec,
     PoleGerm,
     PolygammaResult,
+    PolylimError,
     ProbeReport,
     bernoulli,
     coeff,
@@ -200,18 +205,28 @@ STRUCTURED_ARGUMENTS = [
     ),
     (lambda: neville_extrapolate((1.0,), 1.0), "ys must be a sequence, got 1.0"),
     (lambda: probe_limit(171), "spec must be a LimitSpec, got 171"),
+    # _replace builds through _make, which checks as the constructor does.
+    # The message repeats the first case's, so this case has its own id.
+    pytest.param(
+        lambda: CotPolynomial((1, 2))._replace(coefficients=("a",)),
+        "coefficients[0] must be an integer, got 'a'",
+        id="CotPolynomial._replace(coefficients=('a',))",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "call, message",
     STRUCTURED_ARGUMENTS,
-    ids=[message for _, message in STRUCTURED_ARGUMENTS],
+    ids=[case[-1] for case in STRUCTURED_ARGUMENTS],  # a message or a param's id
 )
 def test_structured_argument_is_domain_error(call, message):
     with pytest.raises(DomainError) as excinfo:
         call()
     assert str(excinfo.value).startswith(message)
+
+
+OUTPUT_RECORDS = (CotDerivExpansion, PolygammaResult, PoleGerm, ProbeReport)
 
 
 def test_only_input_records_check_their_fields():
@@ -222,9 +237,7 @@ def test_only_input_records_check_their_fields():
         LimitSpec(FAMILY_POLYGAMMA, 0, 1)
     with pytest.raises(DomainError):
         CotPolynomial((0.5,))
-    outputs = (CotDerivExpansion, PolygammaResult, PoleGerm, ProbeReport,
-               verify.CheckResult)
-    for record in outputs:
+    for record in (*OUTPUT_RECORDS, verify.CheckResult):
         assert "__new__" not in vars(record), record.__name__
 
 
@@ -271,6 +284,13 @@ RANGE_LIMITS = {
     "oracle_expansion(10**400)": (
         lambda: oracle_expansion(G),
         f"order {G} exceeds exact arithmetic range (max 1000)",
+    ),
+    # The oracle's Fraction work grows as the cube of the order: without its
+    # own bound this call returns after about 1.3 s, and order 1000 would take
+    # about 15 minutes.
+    "harmonics_from_polynomial(101, oracle_expansion(101))": (
+        lambda: harmonics_from_polynomial(101, oracle_expansion(101)),
+        "order 101 exceeds the polynomial oracle's bound (max 100)",
     ),
     "gamma_ratio_limit(2, 1, G)": (
         lambda: gamma_ratio_limit(2, 1, G),
@@ -369,3 +389,89 @@ NEAR_POLE_FRACTIONS = {
 def test_fraction_too_long_to_print_is_shown_by_type(call):
     with pytest.raises(DomainError, match=r"<(Fraction|tuple) too long to print>"):
         call()
+
+
+# The totality property: whatever each argument is, every public callable, and
+# every method and probe that takes an input record, returns finite floats,
+# ints, Fractions or records of them, or raises a PolylimError.  Arguments are
+# drawn from values of every kind: ints up to 10**400 and the caps' edges,
+# bools, non-finite and subnormal floats, Fractions, str, None, tuples, the
+# family names and one input record of each type.
+DRAWN_VALUES = (
+    -1, 0, 1, 2, 3, 8, 100, 101, 170, 171, 1001, G, -G,
+    True, False,
+    0.25, -2.5, 1e308, math.nan, math.inf, -math.inf, 5e-324,
+    Fraction(1, 3), Fraction(-5, 2), Fraction(G, 3),
+    "3", None, (), (1, 2), (0.5, 0.25), (1.0, math.nan),
+    FAMILY_GAMMA, FAMILY_POLYGAMMA,
+    CotPolynomial((0, 2, 0, 2)), LimitSpec(FAMILY_POLYGAMMA, 2, 1),
+)
+TOTAL_CALLS = {
+    name: function
+    for name in polylim.__all__
+    if callable(function := getattr(polylim, name))
+    and not (isinstance(function, type) and issubclass(function, Exception))
+    and function not in OUTPUT_RECORDS
+}
+TOTAL_CALLS.update({
+    "LimitSpec.target": lambda *spec: LimitSpec(*spec).target(),
+    "LimitSpec.germs": lambda *spec: LimitSpec(*spec).germs(),
+    "CotPolynomial.evaluate": lambda c, t: CotPolynomial(c).evaluate(t),
+    "probe_limit(spec)": lambda *spec: probe_limit(LimitSpec(*spec)),
+})
+# Arguments with which each call returns a value.  Each example keeps or
+# replaces every one of them, then sweeps one of them over all DRAWN_VALUES,
+# so that every value drawn for one argument also reaches the code behind the
+# other arguments' checks.
+PASSING_ARGUMENTS = {
+    "CotPolynomial": ((1, 2),),
+    "LimitSpec": (FAMILY_POLYGAMMA, 3, 2, 1, 2),
+    "bernoulli": (4,),
+    "coeff": (5, 2),
+    "coeff_unified": (5, 2),
+    "eval_cot_deriv": (3, 0.3),
+    "eval_cot_deriv_pi": (3, 0.3),
+    "expansion": (3,),
+    "gamma_ratio_limit": (2, 1, 1),
+    "harmonics_from_polynomial": (2, CotPolynomial((0, 2, 0, 2))),
+    "neville_extrapolate": ((0.5, 0.25), (1.0, 2.0)),
+    "oracle_expansion": (3,),
+    "polygamma": (1, -2.5),
+    "polygamma_ratio_limit": (1, 2, 1),
+    "polygamma_series_oracle": (1, 2.5),
+    "probe_limit": (LimitSpec(FAMILY_POLYGAMMA, 2, 1),),
+    "reflection_residual": (1, 0.25),
+    "LimitSpec.target": (FAMILY_GAMMA, 3, 2, 2, 0),
+    "LimitSpec.germs": (FAMILY_POLYGAMMA, 2, 3, 1, 1),
+    "CotPolynomial.evaluate": ((1, 2), 0.5),
+    "probe_limit(spec)": (FAMILY_GAMMA, 2, 1, 1, 0),
+}
+
+
+def assert_total(value):
+    if isinstance(value, tuple):  # a record, or a table of harmonics
+        for field in value:
+            assert_total(field)
+    elif isinstance(value, float):
+        assert math.isfinite(value)
+    else:  # records also hold a family or a method name
+        assert isinstance(value, (int, Fraction, str)), type(value)
+
+
+@pytest.mark.parametrize("name", TOTAL_CALLS)
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_public_calls_are_total(name, data):
+    args = [
+        data.draw(st.one_of(st.just(passing), st.sampled_from(DRAWN_VALUES)))
+        for passing in PASSING_ARGUMENTS[name]
+    ]
+    swept = data.draw(st.integers(0, len(args) - 1), label="swept argument")
+    for value in DRAWN_VALUES:
+        args[swept] = value
+        try:
+            assert_total(TOTAL_CALLS[name](*args))
+        except PolylimError:
+            pass
+        except Exception as exc:  # a leak, or a result that is not total
+            raise AssertionError(f"{name}{tuple(args)!r}") from exc

@@ -215,6 +215,13 @@ class TestEvalCot:
         assert obj["order"] == 3
         assert obj["value"] == pytest.approx(-16.0)
 
+    def test_digits_are_the_same_on_every_python(self, capsys):
+        # Python 3.12 compensates builtin sum() over floats; through sum()
+        # this printed 2048468218.5627205 on 3.12 and 3.13.
+        assert run_main(capsys, "eval-cot", "--order", "8", "--x", "0.3") == (
+            0, "order,x,value\n8,0.3,2048468218.562721\n", ""
+        )
+
     def test_out_of_range_is_computational_failure(self):
         cp = run_cli("eval-cot", "--order", "40", "--x", "1e-11")
         assert cp.returncode == 1

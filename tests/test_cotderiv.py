@@ -148,8 +148,8 @@ class TestExpansion:
             cotderiv.expansions_up_to(max_order)
 
     def test_public_constructors_rebuild_every_table(self):
-        # oracle_expansion builds its records without the constructor's
-        # checks; each record must still pass them.
+        # Each record oracle_expansion returns passes the constructor's
+        # checks unchanged.
         for p in range(61):
             assert CotPolynomial(*oracle_expansion(p)) == oracle_expansion(p), p
 
@@ -291,6 +291,44 @@ class TestEvalCotDeriv:
         with pytest.raises(PoleError) as excinfo:
             eval_cot_deriv_pi(2, 3.0)
         assert excinfo.value.location == 3
+
+
+# Arguments for the evaluator pins: values, poles, powers of sin beyond double
+# range, a multiple j*x beyond it, and both ends of the reducible range.
+EVAL_PIN_X = (*grid(-6.3, 6.3, 63), 1e-11, 1e3, 1e15, 1e308)
+EVAL_PIN_Z = (*grid(-2.5, 2.5, 47), 1e-13, 1e-11, 0.5, -7.5, 2.0**51 + 0.25, 2.0**52)
+
+# sha256 of the lines eval_line(function, order, arg) for orders 0..40,
+# recorded on Python 3.11 before the two evaluators shared one sum.  Python
+# 3.12 compensates builtin sum() over floats, so a sum() in the evaluator
+# moves EVAL_X_DIGEST on 3.12 and 3.13.
+EVAL_X_DIGEST = "cd86a00a5a9a7c8fb248b37c4baccc8b913568606cb9913dc5b1878d8d089052"
+EVAL_Z_DIGEST = "1213fced11c2f3290e2b847639dbde05e41099897a7aa79baa7bf75bd8d12500"
+
+
+def eval_line(function, order, arg):
+    try:
+        outcome = repr(function(order, arg))
+    except Exception as exc:
+        outcome = f"{type(exc).__name__}: {exc}"
+    return f"{order} {arg!r} {outcome}\n"
+
+
+class TestEvaluatorPins:
+    @pytest.mark.parametrize(
+        "function, args, expected",
+        [
+            (eval_cot_deriv, EVAL_PIN_X, EVAL_X_DIGEST),
+            (eval_cot_deriv_pi, EVAL_PIN_Z, EVAL_Z_DIGEST),
+        ],
+        ids=["eval_cot_deriv", "eval_cot_deriv_pi"],
+    )
+    def test_grid_digest(self, function, args, expected):
+        digest = hashlib.sha256()
+        for order in range(41):
+            for arg in args:
+                digest.update(eval_line(function, order, arg).encode())
+        assert digest.hexdigest() == expected
 
 
 class TestPolynomialOracle:
