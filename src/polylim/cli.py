@@ -2,7 +2,8 @@
 
 Subcommands: coeffs, eval-cot, polygamma, limit, verify.  Output is CSV by
 default, JSON with --format json, written to stdout or --output.  Exit
-codes: 0 success, 1 computational or verification failure, 2 usage error.
+codes: 0 success, 1 computational or verification failure or an --output
+that cannot be written, 2 usage error.
 
 This module alone defines the CSV and JSON layouts; the library's records
 are plain data.  Exact integers print as decimal strings.
@@ -86,9 +87,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _sink(output: str | None):
     if output is None:
         yield sys.stdout
-    else:
+        return
+    # Opening, writing and the flush at close can each fail: a missing
+    # directory, a directory in place of a file, a full device.
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             yield handle
+    except OSError as exc:
+        raise PolylimError(f"cannot write {output}: {exc.strerror or exc}") from None
 
 
 def _emit(text: str, output: str | None) -> None:

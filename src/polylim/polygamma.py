@@ -3,10 +3,9 @@
 Three evaluation regions:
 
 * x >= 10: asymptotic expansion in 1/x with Bernoulli-number coefficients
-  (DLMF 5.15.8).  For order >= 1 the series' coefficients
-  B_2j (2j + order - 1)! / (2j)! depend on the order alone, so a table of
-  them is built once per order and cached; each call only divides them by
-  powers of x.
+  (DLMF 5.15.8).  The series' coefficients depend on the order alone, so a
+  table of them is built once per order, order 0 included, and cached; each
+  call only divides them by powers of x.
 * 0.5 <= x < 10: upward recurrence until the argument reaches 10, then the
   asymptotic expansion ("shifted-asymptotic").
 * x < 0.5: reflection through 1 - x, with the cotangent-derivative closed
@@ -110,62 +109,50 @@ def bernoulli(index: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_floats() -> tuple[float, ...]:
-    return tuple(float(b) for b in _bernoulli_numbers())
+def _series_coefficients(order: int) -> tuple[tuple[float, float], ...]:
+    """(coefficient, divisor) pairs for j = 1..30: (-B_2j, 2j) at order 0.
 
-
-@lru_cache(maxsize=None)
-def _series_coefficients(order: int) -> tuple[float, ...]:
-    """B_2j * (2j + order - 1)! / (2j)! for j = 1..30, one per Bernoulli pair.
-
-    The factorial ratio c_j is a running float product, starting from
-    (order - 1)! * order * (order + 1) / 2 and multiplied by
-    (2j + order)(2j + order + 1) / ((2j + 1)(2j + 2)) after each term.  Built
-    once per order; the series divides each coefficient by its power of x.
+    At order >= 1 the pair is (B_2j * c_j, 1.0).  c_j = (2j + order - 1)! /
+    (2j)! is a running float product, starting from (order - 1)! * order *
+    (order + 1) / 2 and multiplied by (2j + order)(2j + order + 1) /
+    ((2j + 1)(2j + 2)) after each term.  Built once per order.
     """
-    bern = _bernoulli_floats()
-    lead = float(math.factorial(order - 1))
-    c = lead * order * (order + 1) / 2.0
-    coefficients = []
-    for j in range(1, len(bern) // 2 + 1):
-        coefficients.append(bern[2 * j] * c)
+    bern = [float(b) for b in _bernoulli_numbers()[2::2]]
+    if order == 0:
+        return tuple((-b, 2 * j) for j, b in enumerate(bern, 1))
+    c = float(math.factorial(order - 1)) * order * (order + 1) / 2.0
+    pairs = []
+    for j, b in enumerate(bern, 1):
+        pairs.append((b * c, 1.0))
         c *= (2 * j + order) * (2 * j + order + 1) / ((2 * j + 1) * (2 * j + 2))
-    return tuple(coefficients)
+    return tuple(pairs)
 
 
 def _asymptotic(order: int, x: float) -> float:
-    """Large-argument expansion; caller guarantees x >= SHIFT_TARGET-ish."""
+    """Large-argument expansion; its one caller passes x >= SHIFT_TARGET.
+
+    There the running sum is positive, so the stop rule needs no abs().
+    """
     x2 = x * x
-    prev = math.inf
     if order == 0:
-        bern = _bernoulli_floats()
         acc = math.log(x) - 0.5 / x
         xp = x2
-        for j in range(1, len(bern) // 2 + 1):
-            term = bern[2 * j] / (2 * j * xp)
-            size = abs(term)
-            if size >= prev:
-                break
-            acc -= term
-            if size <= _SERIES_EPS * abs(acc):
-                break
-            prev = size
-            xp *= x2
-        return acc
-    lead = float(math.factorial(order - 1))
-    acc = lead / x**order + lead * order / (2.0 * x ** (order + 1))
-    xp = x ** (order + 2)
-    for coefficient in _series_coefficients(order):
-        term = coefficient / xp
-        size = abs(term)
+    else:
+        lead = float(math.factorial(order - 1))
+        acc = lead / x**order + lead * order / (2.0 * x ** (order + 1))
+        xp = x ** (order + 2)
+    prev = math.inf
+    for coefficient, divisor in _series_coefficients(order):
+        term = coefficient / (divisor * xp)
+        size = term if term >= 0.0 else -term
         if size >= prev:
             break
         acc += term
-        if size <= _SERIES_EPS * abs(acc):
+        if size <= _SERIES_EPS * acc:
             break
         prev = size
         xp *= x2
-    return acc if order % 2 else -acc
+    return -acc if order and not order % 2 else acc
 
 
 def _positive(order: int, x: float) -> tuple[float, int]:

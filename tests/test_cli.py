@@ -195,6 +195,37 @@ class TestCoeffs:
         assert out == ""
         assert target.read_text().splitlines()[1] == "1,2,0,-1"
 
+    def test_bad_order_creates_no_file(self, tmp_path, capsys):
+        target = tmp_path / "table.csv"
+        code, _, err = run_main(capsys, "coeffs", "--order", "0", "--output",
+                                str(target))
+        assert (code, err) == (1, "polylim: max order must be >= 1, got 0\n")
+        assert not target.exists()
+
+
+class TestOutputFailures:
+    """An --output that cannot be written is one stderr line and exit 1."""
+
+    def test_missing_directory(self, tmp_path):
+        target = tmp_path / "missing" / "out.csv"
+        cp = run_cli("polygamma", "--order", "1", "--x", "2.0", "--output",
+                     str(target))
+        assert (cp.returncode, cp.stdout) == (1, "")
+        assert cp.stderr == f"polylim: cannot write {target}: No such file or directory\n"
+
+    def test_directory_in_place_of_a_file(self, tmp_path, capsys):
+        code, out, err = run_main(capsys, "coeffs", "--order", "3", "--output",
+                                  str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == f"polylim: cannot write {tmp_path}: Is a directory\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device(self):
+        # The write fails at the flush when the file closes, not at open().
+        cp = run_cli("coeffs", "--order", "50", "--output", "/dev/full")
+        assert (cp.returncode, cp.stdout) == (1, "")
+        assert cp.stderr == "polylim: cannot write /dev/full: No space left on device\n"
+
 
 class TestEvalCot:
     def test_csv(self, capsys):

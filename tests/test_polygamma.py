@@ -157,6 +157,44 @@ class TestPolygammaValues:
         assert polygamma(0, -0.5).value == pytest.approx(expected, rel=1e-12)
 
 
+# Worst relative error against mpmath at 50 digits on the positive path, over
+# ACCURACY_ARGUMENTS: twice the measured worst per order, rounded up.  Above
+# order 8 the fixed shift target leaves the series in 1/x short of
+# convergence, and from order 133 up the coefficient table holds inf.  A
+# scaled series with an order-dependent shift target tightens these budgets
+# and empties OVERFLOWING_POINTS.
+ACCURACY_ARGUMENTS = (0.5, 0.9, 1.0, 3.3, 9.99, 10.0, 10.5, 15.0, 25.0, 50.0,
+                      100.0, 1000.0)
+ACCURACY_BUDGETS = {
+    0: 1.2e-15, 1: 3.1e-16, 2: 4.2e-16, 3: 3.5e-16, 4: 6.3e-16, 5: 3.7e-16,
+    6: 4.7e-16, 7: 4.9e-16, 8: 6.2e-16, 12: 1.9e-14, 16: 7.5e-12,
+    20: 1.1e-9, 30: 1.1e-5, 40: 3.4e-3, 60: 0.34, 100: 0.89, 140: 1.5,
+    170: 0.89,
+}
+# x**(order + 2) overflows at these points, so they raise DomainError.  At
+# (170, 0.5), (170, 0.9) and (170, 100) the values, about 1e-181, 4e-36 and
+# 4e-206, are representable.
+OVERFLOWING_POINTS = {(140, 1000.0), (170, 0.5), (170, 0.9), (170, 100.0),
+                      (170, 1000.0)}
+
+
+def test_positive_path_accuracy_budgets():
+    mpmath = pytest.importorskip("mpmath")
+    raised = set()
+    with mpmath.workdps(50):
+        for order, budget in ACCURACY_BUDGETS.items():
+            for x in ACCURACY_ARGUMENTS:
+                try:
+                    value = polygamma(order, x).value
+                except DomainError:
+                    raised.add((order, x))
+                    continue
+                reference = mpmath.psi(order, x)
+                error = abs((value - reference) / reference)
+                assert error <= budget, (order, x, float(error))
+    assert raised == OVERFLOWING_POINTS
+
+
 class TestPolygammaBookkeeping:
     def test_asymptotic_region(self):
         res = polygamma(2, 12.5)
@@ -296,6 +334,26 @@ class TestFloatPathPins:
     )
     def test_literal_values(self, order, x, line):
         assert pin_line(order, x) == line
+
+
+# int and Fraction arguments, orders 0..20.  The series raises an exact x >= 10
+# to its powers as int or Fraction and rounds each power once, at its
+# division.  1001/100 and 10**40 are not doubles, so there these values
+# differ from polygamma(order, float(x)) in the last bits, and the float pins
+# above do not guard them.
+EXACT_PIN_ARGUMENTS = (
+    12, 37, 10**6, Fraction(25, 2), Fraction(7, 2), 3, Fraction(-7, 3),
+    Fraction(1001, 100), 10**40,
+)
+EXACT_PIN_DIGEST = "e932af0df6706bb1841a1f1f575ebad5965c84ae05783ea5a004da4b0869d5f1"
+
+
+def test_exact_argument_digest():
+    digest = hashlib.sha256()
+    for order in range(21):
+        for x in EXACT_PIN_ARGUMENTS:
+            digest.update(pin_line(order, x).encode())
+    assert digest.hexdigest() == EXACT_PIN_DIGEST
 
 
 class TestReflectionResidual:
