@@ -2,8 +2,8 @@
 
 Subcommands: coeffs, eval-cot, polygamma, limit, verify.  Output is CSV by
 default, JSON with --format json, written to stdout or --output.  Exit
-codes: 0 success, 1 computational or verification failure or an --output
-that cannot be written, 2 usage error.
+codes: 0 success, 1 computational or verification failure, output that
+cannot be written or a reader that closed the pipe, 2 usage error.
 
 This module alone defines the CSV and JSON layouts; the library's records
 are plain data.  Exact integers print as decimal strings.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from . import cotderiv, limits, verify
@@ -85,15 +86,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _sink(output: str | None):
-    if output is None:
-        yield sys.stdout
-        return
-    # Opening, writing and the flush at close can each fail: a missing
-    # directory, a directory in place of a file, a full device.
+    # Opening, writing and the final flush can each fail: a missing directory,
+    # a directory in place of a file, a full device, a closed pipe.
     try:
-        with open(output, "w", encoding="utf-8") as handle:
-            yield handle
+        if output is None:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(output, "w", encoding="utf-8") as handle:
+                yield handle
     except OSError as exc:
+        if output is None:
+            # fd 1 to devnull, so that the interpreter's final flush writes
+            # nowhere (the recipe in the Python `signal` docs).
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                raise SystemExit(1) from None  # the reader left: no message
+            output = "<stdout>"
         raise PolylimError(f"cannot write {output}: {exc.strerror or exc}") from None
 
 

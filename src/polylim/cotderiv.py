@@ -12,9 +12,9 @@ evaluates the closed form, and carries three independent routes to them:
 * the tables behind ``expansion``, built by an O(p) integer recurrence per
   order that comes from differentiating the numerator over sin**(p+1);
 * the paper's piecewise and unified formulas, ``coeff`` and
-  ``coeff_unified``, which serve point requests and cross-checks.  Each
-  coefficient is an integer multiple of the alternating sum
-  sum_{l<a} (-1)**l C(m+1, l) (a-l)**m, the Eulerian number <m, a-1>;
+  ``coeff_unified``, which serve point requests and cross-checks.  The two
+  are one Eulerian sum, b[p,q] = (-1)**p (2 - [q = 0]) <p, (p-q-1)/2>, with
+  <m, k> = sum_{l<=k} (-1)**l C(m+1, l) (k+1-l)**m;
 * a polynomial oracle: the same derivative written as an integer polynomial
   in t = cot x, obtained by repeatedly applying  P(t) -> P'(t) * (-1 - t**2),
   and rewritten exactly into the cosine basis.
@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import (
     MAX_EVAL_ORDER,  # kept as cotderiv.MAX_EVAL_ORDER for callers
@@ -147,42 +147,31 @@ def _alternating_sum(n: int, a: int, power: int) -> int:
     return total
 
 
+def _eulerian(p: int, q: int) -> int:
+    """b[p, q] = (-1)**p * (2 - [q = 0]) * <p, (p - q - 1)/2>, for checked p, q."""
+    return (-1) ** p * (2 if q else 1) * _alternating_sum(p + 1, (p - q + 1) // 2, p)
+
+
 def coeff(order: int, multiplier: int) -> int:
     """Exact integer coefficient of cos(multiplier * x) in cot^(order).
 
-    The paper's piecewise formula.  Raises InvalidHarmonicError when
-    order + multiplier is even (no such harmonic exists) and
-    HarmonicRangeError when multiplier >= order.
+    The paper's piecewise formula; its multiplier = 0 column, -2n <2n-2, n-2>
+    at p = 2n - 1, is half the unified sum, as the Eulerian recurrence
+    <m, k> = (k+1) <m-1, k> + (m-k) <m-1, k-1> at m = 2n-1, k = n-1 and the
+    symmetry <2n-2, n-1> = <2n-2, n-2> give <2n-1, n-1> = 2n <2n-2, n-2> for
+    n >= 2 (and b[1, 0] = -<1, 0> = -1).  Raises InvalidHarmonicError when
+    order + multiplier is even and HarmonicRangeError when multiplier >= order.
     """
-    p, q = _harmonic_index(order, multiplier)
-    if p == 1:
-        return -1
-    if p % 2:
-        n = (p + 1) // 2
-        if q == 0:
-            # 2n * sum_{l<n-1} (-1)**(l+1) C(2n-1, l) (n-l-1)**(2n-2)
-            return -2 * n * _alternating_sum(2 * n - 1, n - 1, 2 * n - 2)
-        # 2 * sum_{l<n-i} (-1)**(l+1) C(2n, l) (n-i-l)**(2n-1), i = q/2
-        i = q // 2
-        return -2 * _alternating_sum(2 * n, n - i, 2 * n - 1)
-    # 2 * sum_{l<n-i} (-1)**l C(2n+1, l) (n-i-l)**(2n), n = p/2, i = (q-1)/2
-    n = p // 2
-    i = (q - 1) // 2
-    return 2 * _alternating_sum(2 * n + 1, n - i, 2 * n)
+    return _eulerian(*_harmonic_index(order, multiplier))
 
 
 def coeff_unified(order: int, multiplier: int) -> int:
-    """Single-formula variant of coeff, valid for 0 < multiplier < order.
+    """The paper's unified formula, for 0 < multiplier < order.
 
-    The multiplier = 0 coefficients are deliberately excluded: the unified
-    formula does not reproduce them (it gives -8 instead of -4 at order 3),
-    so that column stays with the piecewise formulas.
+    The same Eulerian sum as ``coeff``; at multiplier = 0 it would give twice
+    the coefficient (-8 instead of -4 at order 3), so that column is excluded.
     """
-    p, q = _harmonic_index(order, multiplier, unified=True)
-    # (-1)**p * 2 * sum_{l<=m} (-1)**l C(p+1, l) (m-l+1)**p
-    m = (p - q - 1) // 2
-    sign = -1 if p % 2 else 1
-    return sign * 2 * _alternating_sum(p + 1, m + 1, p)
+    return _eulerian(*_harmonic_index(order, multiplier, unified=True))
 
 
 # _ROWS[p][j] = b[p, j]; row p has length p + 2 and starts from

@@ -204,7 +204,8 @@ class TestCoeffs:
 
 
 class TestOutputFailures:
-    """An --output that cannot be written is one stderr line and exit 1."""
+    """An --output or stdout that cannot be written is one stderr line and
+    exit 1; a reader that leaves early is exit 1 alone."""
 
     def test_missing_directory(self, tmp_path):
         target = tmp_path / "missing" / "out.csv"
@@ -225,6 +226,29 @@ class TestOutputFailures:
         cp = run_cli("coeffs", "--order", "50", "--output", "/dev/full")
         assert (cp.returncode, cp.stdout) == (1, "")
         assert cp.stderr == "polylim: cannot write /dev/full: No space left on device\n"
+
+    def test_reader_that_leaves_early(self):
+        # Megabytes of output, far beyond a pipe's buffer: the writes must
+        # meet the closed pipe.  Exit 1, and nothing on stderr.
+        child = subprocess.Popen(
+            [sys.executable, "-m", "polylim", "coeffs", "--order", "300"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        )
+        head = child.stdout.read(10)
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(timeout=60), head, err) == (1, b"order,sin_", b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout(self):
+        with open("/dev/full", "w") as full:
+            cp = subprocess.run(
+                [sys.executable, "-m", "polylim", "coeffs", "--order", "50"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=child_env(),
+            )
+        assert (cp.returncode, cp.stderr) == (
+            1, "polylim: cannot write <stdout>: No space left on device\n")
 
 
 class TestEvalCot:
