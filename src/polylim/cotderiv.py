@@ -6,8 +6,8 @@ sin x::
     cot^(p) x = (sum_j b[p,j] * cos(j*x)) / sin(x)**(p+1)
 
 where j runs over 0, 2, ..., p-1 for odd p and 1, 3, ..., p-1 for even p,
-and the b[p,j] are integers.  This module generates those integers exactly,
-evaluates the closed form, and carries three independent routes to them:
+and the b[p,j] are integers.  This module generates those integers exactly
+and carries three independent routes to them:
 
 * the tables behind ``expansion``, built by an O(p) integer recurrence per
   order that comes from differentiating the numerator over sin**(p+1);
@@ -18,6 +18,11 @@ evaluates the closed form, and carries three independent routes to them:
 * a polynomial oracle: the same derivative written as an integer polynomial
   in t = cot x, obtained by repeatedly applying  P(t) -> P'(t) * (-1 - t**2),
   and rewritten exactly into the cosine basis.
+
+Values come from that polynomial, Hoffman's derivative polynomial P_p (Amer.
+Math. Monthly 102, 1995), whose coefficients all have the sign (-1)**p, so
+Horner's rule cancels nothing.  The cosine sums, which cancel near the zeros
+of cos and at large |x|, serve the exact tables and verify's cross-check.
 """
 from __future__ import annotations
 
@@ -82,18 +87,6 @@ class CotPolynomial(namedtuple("CotPolynomial", "coefficients")):
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    def evaluate(self, t: float) -> float:
-        as_finite(t, "t")
-        acc = 0.0
-        try:
-            for c in reversed(self.coefficients):
-                acc = acc * t + c
-        except OverflowError:  # a coefficient beyond double range
-            acc = math.inf
-        if not math.isfinite(acc):
-            raise out_of_range(f"cot polynomial at t={shown(t)}")
-        return acc
 
 
 def _harmonic_index(order, multiplier, unified: bool = False) -> tuple[int, int]:
@@ -214,59 +207,59 @@ def expansion(order: int) -> CotDerivExpansion:
     return CotDerivExpansion(order, order + 1, harmonics)
 
 
-def _closed_form(order: int, s: float, scale: float, theta: float, label, arg) -> float:
-    """cot^(order) at the angle scale * theta, whose sine is s.
+@lru_cache(maxsize=None)
+def _scaled_row(order: int) -> tuple[float, ...]:
+    """|coefficients| of P_order over order!, highest power first, zeros dropped;
+    each int / int division rounds once.  The largest entry, at 170, is 8.3e16."""
+    scale = math.factorial(order)
+    return tuple(abs(c) / scale for c in oracle_expansion(order).coefficients[::-2])
 
-    The loop adds in harmonic order on every Python: sum() over floats is
-    compensated from 3.12 on.  Near a pole s**(order+1) underflows to 0 long
-    before the pole guard trips, for orders above about 20.  A result that is
-    not finite is a DomainError naming the point as ``label`` followed by ``arg``.
+
+def _derivative_polynomial(order: int, t: float, label, arg) -> float:
+    """cot^(order) where the cotangent is t: P_order(t) by Horner's rule in t**2.
+
+    P_order is odd in t for even orders and even for odd ones.  A result that
+    is not finite is a DomainError naming the point as ``label`` then ``arg``.
     """
-    harmonics = expansion(order).harmonics if order else ((1, 1),)  # cos x / sin x
-    num = 0.0
-    try:
-        for j, b in harmonics:
-            num += b * math.cos(scale * (j * theta))
-    except ValueError:  # j * theta beyond double range is inf, and cos(inf) raises
-        num = math.nan
-    denom = s ** (order + 1)
-    value = num / denom if denom else math.inf
+    u = t * t
+    acc = 0.0
+    for c in _scaled_row(order):
+        acc = acc * u + c
+    value = (-acc if order % 2 else acc * t) * float(math.factorial(order))
     if not math.isfinite(value):
         raise out_of_range(f"cot^({order}) at {label}{shown(arg)}")
     return value
 
 
 def eval_cot_deriv(order: int, x: float) -> float:
-    """Evaluate cot^(order) at x (radians) in double precision."""
+    """Evaluate cot^(order) at x (radians); libm's tan reduces x exactly."""
     order = as_order(order)
     as_finite(x, "argument")
-    s = math.sin(x)
-    if abs(s) < POLE_GUARD:
+    if abs(math.sin(x)) < POLE_GUARD:
         raise PoleError(f"x={shown(x)} is within the pole guard of a multiple of pi",
                         location=math.pi * round(x / math.pi))
-    return _closed_form(order, s, 1.0, x, "x=", x)
+    return _derivative_polynomial(order, 1.0 / math.tan(x), "x=", x)
 
 
 def eval_cot_deriv_pi(order: int, z: float) -> float:
     """Evaluate cot^(order) at pi*z, reducing by the nearest integer first.
 
-    Writing z = m + d with integer m and |d| <= 1/2 keeps sin(pi*z) fully
-    accurate arbitrarily close to the poles (the subtraction z - m is exact),
-    which direct evaluation at the rounded product pi*z cannot do.  Used by
-    the polygamma reflection path and by ``reflection_residual``.
+    With z = m + d, integer m and |d| <= 1/2, cot(pi*z) = cot(pi*d) has the
+    sign of d.  With a = |d| it is 1/tan(pi*a) up to a = 1/4 and
+    tan(pi*(1/2 - a)) above, so every tan argument, exact up to its rounding
+    by pi, lies in [0, pi/4], at the poles and the half-integers alike.  Used
+    by the polygamma reflection path and by ``reflection_residual``.
     """
     order = as_order(order)
     if not abs(as_real(z, "argument")) < 2.0**52:
         raise DomainError(f"argument out of reducible range: {shown(z)}")
     m = round(z)
     d = z - m
-    s = math.sin(math.pi * d)
-    if abs(s) < POLE_GUARD:
+    if abs(math.sin(math.pi * d)) < POLE_GUARD:
         raise PoleError(f"pi*{shown(z)} is within the pole guard of a pole", location=m)
-    # Shifting by m multiplies cos(j*pi*z) by (-1)**(j*m) and
-    # sin(pi*z)**(order+1) by (-1)**(m*(order+1)).  Every multiplier j has the
-    # parity of order + 1, so the two signs cancel and only d enters.
-    return _closed_form(order, s, math.pi, d, "pi*", z)
+    a = abs(d)
+    t = 1.0 / math.tan(math.pi * a) if a <= 0.25 else math.tan(math.pi * (0.5 - a))
+    return _derivative_polynomial(order, t if d > 0 else -t, "pi*", z)
 
 
 @lru_cache(maxsize=None)

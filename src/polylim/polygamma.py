@@ -8,8 +8,8 @@ Three evaluation regions:
   call only divides them by powers of x.
 * 0.5 <= x < 10: upward recurrence until the argument reaches 10, then the
   asymptotic expansion ("shifted-asymptotic").
-* x < 0.5: reflection through 1 - x, with the cotangent-derivative closed
-  form supplying the reflection term.
+* x < 0.5: reflection through 1 - x, with the cotangent's derivative
+  polynomial (``eval_cot_deriv_pi``) supplying the reflection term.
 
 A slow, definitionally direct series oracle is included for validation; it
 shares no code with the evaluation paths above.

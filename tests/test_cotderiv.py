@@ -20,7 +20,8 @@ from polylim import (
     harmonics_from_polynomial,
     oracle_expansion,
 )
-from polylim import cotderiv
+from polylim import cotderiv, verify
+from polylim.errors import DOUBLE_MAX
 
 
 def grid(lo, hi, count):
@@ -279,7 +280,8 @@ class TestEvalCotDeriv:
             eval_cot_deriv_pi(True, 0.3)
 
     def test_underflowed_sine_power_is_domain_error(self):
-        # sin(x)**41 underflows to 0 although |sin x| clears the pole guard.
+        # cot^(40)(1e-11), about 40! * 1e451, is beyond double range although
+        # |sin x| clears the pole guard.
         with pytest.raises(DomainError):
             eval_cot_deriv(40, 1e-11)
 
@@ -287,23 +289,32 @@ class TestEvalCotDeriv:
         with pytest.raises(DomainError):
             eval_cot_deriv_pi(60, 1e-11)
 
+    def test_argument_near_double_max(self):
+        # libm's tan reduces 1e308 exactly; mpmath gives -122.525501480249266.
+        assert eval_cot_deriv(3, 1e308) == -122.52550148024923
+
+    def test_pi_scaled_even_orders_vanish_at_half_integers(self):
+        for p in range(0, cotderiv.MAX_EVAL_ORDER + 1, 2):
+            for k in (-(2**40), -8, -1, 0, 1, 7, 2**40):
+                assert eval_cot_deriv_pi(p, k + 0.5) == 0.0, (p, k)
+
     def test_pi_scaled_pole_guard_carries_location(self):
         with pytest.raises(PoleError) as excinfo:
             eval_cot_deriv_pi(2, 3.0)
         assert excinfo.value.location == 3
 
 
-# Arguments for the evaluator pins: values, poles, powers of sin beyond double
-# range, a multiple j*x beyond it, and both ends of the reducible range.
+# Arguments for the evaluator pins: values, poles, values beyond double range,
+# large radians (1e15, 1e308) and both ends of the reducible range.
 EVAL_PIN_X = (*grid(-6.3, 6.3, 63), 1e-11, 1e3, 1e15, 1e308)
 EVAL_PIN_Z = (*grid(-2.5, 2.5, 47), 1e-13, 1e-11, 0.5, -7.5, 2.0**51 + 0.25, 2.0**52)
 
 # sha256 of the lines eval_line(function, order, arg) for orders 0..40,
-# recorded on Python 3.11 before the two evaluators shared one sum.  Python
-# 3.12 compensates builtin sum() over floats, so a sum() in the evaluator
-# moves EVAL_X_DIGEST on 3.12 and 3.13.
-EVAL_X_DIGEST = "cd86a00a5a9a7c8fb248b37c4baccc8b913568606cb9913dc5b1878d8d089052"
-EVAL_Z_DIGEST = "1213fced11c2f3290e2b847639dbde05e41099897a7aa79baa7bf75bd8d12500"
+# recorded on Python 3.11; test_evaluator_accuracy_budgets below measures
+# these values against mpmath.  Python 3.12 compensates builtin sum() over
+# floats, so a sum() in the Horner loop would move them on 3.12 and 3.13.
+EVAL_X_DIGEST = "1e20a65c07c2496aecfb03171da52d97dc393c416a63d51f00632cd7c9767b6a"
+EVAL_Z_DIGEST = "6edff9029a410f90677b6bf098ae30adb37c90506c65cee31a17f88b00bb5e7f"
 
 
 def eval_line(function, order, arg):
@@ -331,6 +342,71 @@ class TestEvaluatorPins:
         assert digest.hexdigest() == expected
 
 
+def cot_reference(mpmath, order, x):
+    """cot^(order) at the mpf x, from the paper's cosine sum over the exact
+    table, with enough digits to absorb its cancellation."""
+    if order == 0:
+        return mpmath.cot(x)
+    harmonics = expansion(order).harmonics
+    digits = len(str(sum(abs(b) for _, b in harmonics)))
+    with mpmath.workdps(digits + 40):
+        numerator = mpmath.fsum(b * mpmath.cos(j * x) for j, b in harmonics)
+        return +(numerator / mpmath.sin(x) ** (order + 1))
+
+
+# Worst relative error of the two evaluators against cot_reference, per
+# argument set and order: twice the measured worst, rounded up.  Where the
+# value leaves double range (order 170 near the poles) the evaluators raise
+# DomainError, and only there.  At both large radians the order-170 value,
+# about 1e325 and 7e362, is out of range, so those sets stop at order 100.
+COT_ACCURACY_ARGUMENTS = {
+    "radians": (eval_cot_deriv, tuple(grid(0.05, math.pi - 0.05, 40))),
+    "radians 1e15 + 0.2": (eval_cot_deriv, (1e15 + 0.2,)),
+    "radians 1e308": (eval_cot_deriv, (1e308,)),
+    "pi near half-integers": (eval_cot_deriv_pi, tuple(
+        k + 0.5 + side * offset
+        for k in (-3, 0, 2)
+        for side in (-1, 1)
+        for offset in (1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 0.1)
+    )),
+    "pi off half-integers": (eval_cot_deriv_pi, tuple(
+        k + z for k in (-2, 0, 3) for z in grid(0.0, 1.0, 20)
+    )),
+}
+COT_ACCURACY_BUDGETS = {
+    "radians": {0: 2.9e-16, 1: 4e-16, 2: 5.8e-16, 4: 1.2e-15, 8: 2.1e-15,
+                16: 3.4e-15, 40: 8.9e-15, 100: 2.2e-14, 170: 1.4e-14},
+    "radians 1e15 + 0.2": {0: 2.2e-16, 1: 1.3e-16, 2: 3.7e-16, 4: 9.4e-16,
+                           8: 8.1e-16, 16: 1.3e-15, 40: 2.4e-15, 100: 8.7e-15},
+    "radians 1e308": {0: 2.1e-16, 1: 4.4e-16, 2: 5.6e-16, 4: 9e-16, 8: 1.6e-15,
+                      16: 1.8e-15, 40: 5.7e-15, 100: 1.4e-14},
+    "pi near half-integers": {0: 1.6e-16, 1: 2.2e-16, 2: 3.7e-16, 4: 6.6e-16,
+                              8: 4.2e-16, 16: 5.7e-16, 40: 1.5e-15, 100: 3e-15,
+                              170: 5.2e-15},
+    "pi off half-integers": {0: 4.2e-16, 1: 9.3e-16, 2: 1.4e-15, 4: 2.3e-15,
+                             8: 3.6e-15, 16: 7.7e-15, 40: 1.9e-14, 100: 4.8e-14,
+                             170: 2.4e-14},
+}
+
+
+@pytest.mark.parametrize("case", COT_ACCURACY_BUDGETS)
+def test_evaluator_accuracy_budgets(case):
+    mpmath = pytest.importorskip("mpmath")
+    function, arguments = COT_ACCURACY_ARGUMENTS[case]
+    with mpmath.workdps(50):
+        scale = mpmath.pi if function is eval_cot_deriv_pi else 1
+        for order, budget in COT_ACCURACY_BUDGETS[case].items():
+            for arg in arguments:
+                reference = cot_reference(mpmath, order, scale * mpmath.mpf(arg))
+                try:
+                    value = function(order, arg)
+                except DomainError:
+                    assert abs(reference) > DOUBLE_MAX, (order, arg)
+                    continue
+                error = abs((value - reference) / reference)
+                assert error <= budget, (order, arg, float(error))
+
+
 class TestPolynomialOracle:
     def test_base_cases(self):
         assert oracle_expansion(0).coefficients == (0, 1)
@@ -342,12 +418,13 @@ class TestPolynomialOracle:
             assert oracle_expansion(p).degree == p + 1
 
     def test_closed_form_agrees_with_polynomial(self):
+        # eval_cot_deriv evaluates the derivative polynomial; the paper's
+        # cosine sum over the exact table is the independent side.
         for p in range(1, 26):
-            poly = oracle_expansion(p)
             for x in grid(0.1, math.pi - 0.1, 50):
-                closed = eval_cot_deriv(p, x)
-                direct = poly.evaluate(math.cos(x) / math.sin(x))
-                assert abs(closed - direct) <= 1e-8 * (1.0 + abs(direct)), (p, x)
+                value = eval_cot_deriv(p, x)
+                closed = verify._cosine_sum(p, x)
+                assert abs(value - closed) <= 1e-8 * (1.0 + abs(closed)), (p, x)
 
     def test_exact_extraction_matches_coeff(self):
         for p in range(1, 13):
@@ -376,10 +453,6 @@ class TestPolynomialOracle:
             harmonics_from_polynomial(order, oracle_expansion(1))
         assert str(excinfo.value).endswith(message)
 
-    def test_evaluate_is_horner(self):
-        poly = CotPolynomial(coefficients=(1, -2, 3))
-        assert poly.evaluate(2.0) == pytest.approx(1 - 4 + 12)
-
 
 class TestDerivativeConsistency:
     def test_central_difference_matches_next_order(self):
@@ -399,9 +472,9 @@ class TestDerivativeConsistency:
     x=st.floats(min_value=0.1, max_value=math.pi - 0.1),
 )
 def test_property_closed_form_equals_oracle(order, x):
-    closed = eval_cot_deriv(order, x)
-    direct = oracle_expansion(order).evaluate(math.cos(x) / math.sin(x))
-    assert abs(closed - direct) <= 1e-8 * (1.0 + abs(direct))
+    value = eval_cot_deriv(order, x)
+    closed = verify._cosine_sum(order, x)
+    assert abs(value - closed) <= 1e-8 * (1.0 + abs(closed))
 
 
 @settings(max_examples=100, deadline=None)

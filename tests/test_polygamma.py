@@ -195,6 +195,36 @@ def test_positive_path_accuracy_budgets():
     assert raised == OVERFLOWING_POINTS
 
 
+# Worst relative error against mpmath at 50 digits on the reflection path, at
+# and near -0.5, -2.5 and -7.5, where the paper's cosine sum for the cotangent
+# term cancels: twice the measured worst per order, rounded up.  Above about order
+# 16 the positive path at 1 - x sets the error (ACCURACY_BUDGETS), so the
+# table stops there.
+REFLECTION_ARGUMENTS = (-0.5, -2.5, -7.5) + tuple(
+    -k - 0.5 + side * offset
+    for k in (0, 2, 7)
+    for side in (-1, 1)
+    for offset in (1e-9, 1e-5, 1e-2)
+)
+REFLECTION_BUDGETS = {
+    0: 1.7e-14, 1: 3.1e-16, 2: 5.4e-16, 3: 9.8e-16, 4: 7.4e-16, 5: 6.6e-16,
+    6: 1.9e-15, 7: 9.7e-16, 8: 6.2e-15, 9: 1.2e-15, 10: 1.9e-15, 11: 1.4e-15,
+    12: 1.8e-15, 13: 1.2e-15, 14: 1.5e-14, 15: 1.5e-15, 16: 2.1e-14,
+}
+
+
+def test_reflection_path_accuracy_budgets():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for order, budget in REFLECTION_BUDGETS.items():
+            for x in REFLECTION_ARGUMENTS:
+                result = polygamma(order, x)
+                assert result.method == METHOD_REFLECTION, (order, x)
+                reference = mpmath.psi(order, x)
+                error = abs((result.value - reference) / reference)
+                assert error <= budget, (order, x, float(error))
+
+
 class TestPolygammaBookkeeping:
     def test_asymptotic_region(self):
         res = polygamma(2, 12.5)
@@ -287,7 +317,7 @@ PIN_ARGUMENTS = (
 # sha256 of the lines pin_line(order, x) for orders 0..170 and PIN_ARGUMENTS.
 # Any change to a float path moves it; a deliberate one records the new
 # digest and says why.
-PIN_DIGEST = "d681bd758e8b88d695c91f667942ebb716fd9cbac091bc7a761c94154778cc2d"
+PIN_DIGEST = "b0bfee9fe9c5b3e1b026a3156e1f87df0006bcbfae67ed2053bfff566e9927f2"
 
 
 def pin_line(order, x):
@@ -314,10 +344,11 @@ class TestFloatPathPins:
             (1, 0.5, "1 0.5 4.934802200544679\n"),
             (3, 12.5, "3 12.5 0.0011534128049134054\n"),
             (2, 2.5, "2 2.5 -0.23620405164172742\n"),
-            (1, -2.3, "1 -2.3 14.725912160961292\n"),
+            # mpmath 14.7259121609612915, 2 ulp away.
+            (1, -2.3, "1 -2.3 14.725912160961288\n"),
             (40, 37.25, "40 37.25 -4.7600401419332735e-17\n"),
-            # Pinned as it stands: the true value is about -0.0039328.
-            (16, -7.5, "16 -7.5 -3592.5083974106033\n"),
+            # mpmath -0.0039327907263552862.
+            (16, -7.5, "16 -7.5 -0.003932790726355326\n"),
             (
                 170,
                 1e3,
@@ -345,7 +376,7 @@ EXACT_PIN_ARGUMENTS = (
     12, 37, 10**6, Fraction(25, 2), Fraction(7, 2), 3, Fraction(-7, 3),
     Fraction(1001, 100), 10**40,
 )
-EXACT_PIN_DIGEST = "e932af0df6706bb1841a1f1f575ebad5965c84ae05783ea5a004da4b0869d5f1"
+EXACT_PIN_DIGEST = "5ca63427025811e251ada48d828b22190c01f619636b6975cee959b638927118"
 
 
 def test_exact_argument_digest():
