@@ -9,12 +9,13 @@ where j runs over 0, 2, ..., p-1 for odd p and 1, 3, ..., p-1 for even p,
 and the b[p,j] are integers.  This module generates those integers exactly
 and carries three independent routes to them:
 
-* the tables behind ``expansion``, built by an O(p) integer recurrence per
-  order that comes from differentiating the numerator over sin**(p+1);
-* the paper's piecewise and unified formulas, ``coeff`` and
-  ``coeff_unified``, which serve point requests and cross-checks.  The two
-  are one Eulerian sum, b[p,q] = (-1)**p (2 - [q = 0]) <p, (p-q-1)/2>, with
-  <m, k> = sum_{l<=k} (-1)**l C(m+1, l) (k+1-l)**m;
+* the tables behind ``expansion``, ``coeff`` and ``coeff_unified``, built
+  once per process by an O(p) integer recurrence per order that comes from
+  differentiating the numerator over sin**(p+1);
+* the paper's piecewise and unified formulas, one Eulerian sum in
+  ``_eulerian``, b[p,q] = (-1)**p (2 - [q = 0]) <p, (p-q-1)/2>, with
+  <m, k> = sum_{l<=k} (-1)**l C(m+1, l) (k+1-l)**m, which verify and the
+  tests hold against the tables;
 * a polynomial oracle: the same derivative written as an integer polynomial
   in t = cot x, obtained by repeatedly applying  P(t) -> P'(t) * (-1 - t**2),
   and rewritten exactly into the cosine basis.
@@ -141,30 +142,39 @@ def _alternating_sum(n: int, a: int, power: int) -> int:
 
 
 def _eulerian(p: int, q: int) -> int:
-    """b[p, q] = (-1)**p * (2 - [q = 0]) * <p, (p - q - 1)/2>, for checked p, q."""
+    """b[p, q] = (-1)**p * (2 - [q = 0]) * <p, (p - q - 1)/2>, for checked p, q.
+
+    The paper's piecewise and unified formulas in one sum.  The unified form
+    alone would double the multiplier = 0 column (-8 instead of -4 at order
+    3).  The piecewise form of that column, -2n <2n-2, n-2> at p = 2n - 1,
+    is half the unified sum, as the Eulerian recurrence
+    <m, k> = (k+1) <m-1, k> + (m-k) <m-1, k-1> at m = 2n-1, k = n-1 and the
+    symmetry <2n-2, n-1> = <2n-2, n-2> give <2n-1, n-1> = 2n <2n-2, n-2> for
+    n >= 2 (and b[1, 0] = -<1, 0> = -1).  Verify and the tests hold the
+    tables against it; no production path calls it.
+    """
     return (-1) ** p * (2 if q else 1) * _alternating_sum(p + 1, (p - q + 1) // 2, p)
 
 
 def coeff(order: int, multiplier: int) -> int:
     """Exact integer coefficient of cos(multiplier * x) in cot^(order).
 
-    The paper's piecewise formula; its multiplier = 0 column, -2n <2n-2, n-2>
-    at p = 2n - 1, is half the unified sum, as the Eulerian recurrence
-    <m, k> = (k+1) <m-1, k> + (m-k) <m-1, k-1> at m = 2n-1, k = n-1 and the
-    symmetry <2n-2, n-1> = <2n-2, n-2> give <2n-1, n-1> = 2n <2n-2, n-2> for
-    n >= 2 (and b[1, 0] = -<1, 0> = -1).  Raises InvalidHarmonicError when
-    order + multiplier is even and HarmonicRangeError when multiplier >= order.
+    Read from the same table as ``expansion``.  Raises InvalidHarmonicError
+    when order + multiplier is even and HarmonicRangeError when
+    multiplier >= order.
     """
-    return _eulerian(*_harmonic_index(order, multiplier))
+    p, q = _harmonic_index(order, multiplier)
+    return _numerator_row(p)[q]
 
 
 def coeff_unified(order: int, multiplier: int) -> int:
     """The paper's unified formula, for 0 < multiplier < order.
 
-    The same Eulerian sum as ``coeff``; at multiplier = 0 it would give twice
-    the coefficient (-8 instead of -4 at order 3), so that column is excluded.
+    The same table entry as ``coeff``; the formula at multiplier = 0 would
+    give twice the coefficient, so that column is excluded.
     """
-    return _eulerian(*_harmonic_index(order, multiplier, unified=True))
+    p, q = _harmonic_index(order, multiplier, unified=True)
+    return _numerator_row(p)[q]
 
 
 # _ROWS[p][j] = b[p, j]; row p has length p + 2 and starts from

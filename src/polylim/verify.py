@@ -79,14 +79,14 @@ def _check_oracle_equivalence() -> CheckResult:
 
 
 def _check_unified_agreement() -> CheckResult:
-    """The paper's piecewise formula against the recurrence-built tables and
-    the unified formula, which is defined for nonzero multipliers only."""
+    """The paper's Eulerian formula against the recurrence-built tables, read
+    through ``expansion`` and, at nonzero multipliers, ``coeff_unified``."""
     failures = []
     harmonics = pairs = 0
     for p in range(1, 31):
         for q, b in cotderiv.expansion(p).harmonics:
             harmonics += 1
-            piecewise = cotderiv.coeff(p, q)
+            piecewise = cotderiv._eulerian(p, q)
             if b != piecewise:
                 failures.append(f"({p},{q}): table != piecewise")
             if q:

@@ -14,8 +14,8 @@ from polylim import (
     FAMILY_GAMMA,
     FAMILY_POLYGAMMA,
     LimitSpec,
-    coeff,
     coeff_unified,
+    cotderiv,
     eval_cot_deriv,
     expansion,
     gamma_ratio_limit,
@@ -93,7 +93,7 @@ def test_03_unified_formula_equals_piecewise():
     checked = 0
     for p in range(1, 31):
         for q in range(2 if p % 2 else 1, p, 2):
-            assert coeff_unified(p, q) == coeff(p, q), (p, q)
+            assert coeff_unified(p, q) == cotderiv._eulerian(p, q), (p, q)
             checked += 1
     print(f"PASS unified formula agreement: {checked} (order, multiplier) pairs")
 

@@ -627,16 +627,30 @@ class TestVerifyChecksCanFail:
         assert not result.passed
 
     def test_unified_agreement_sees_one_wrong_coefficient(self, monkeypatch):
-        exact = cotderiv.coeff
+        exact = cotderiv._eulerian
         monkeypatch.setattr(
             cotderiv,
-            "coeff",
+            "_eulerian",
             lambda p, q: exact(p, q) + ((p, q) == (17, 6)),
         )
         result = verify._check_unified_agreement()
         assert result.name == "unified-piecewise-agreement"
         assert not result.passed
         assert result.detail.startswith("(17,6): table != piecewise")
+
+    def test_unified_agreement_sees_one_wrong_table_entry(self, monkeypatch):
+        # On fresh rows, and past expansion's cache, so that expansion and
+        # coeff_unified both read the wrong entry and nothing keeps it.  The
+        # rows the check reads are built first, so that no later row
+        # inherits the error.
+        monkeypatch.setattr(cotderiv, "_ROWS", [[0, 1]])
+        monkeypatch.setattr(cotderiv, "expansion", cotderiv.expansion.__wrapped__)
+        cotderiv._numerator_row(30)
+        cotderiv._ROWS[17][6] += 1
+        result = verify._check_unified_agreement()
+        assert result.name == "unified-piecewise-agreement"
+        assert not result.passed
+        assert result.detail == "(17,6): table != piecewise (+1 more)"
 
     def test_gamma_probe_grid_sees_a_dropped_sign(self, monkeypatch):
         exact = limits._QUOTIENTS[FAMILY_GAMMA]

@@ -80,7 +80,7 @@ class TestCoeffUnified:
     def test_agrees_with_piecewise_everywhere(self):
         for p in range(1, 31):
             for q in range(2 if p % 2 else 1, p, 2):
-                assert coeff_unified(p, q) == coeff(p, q), (p, q)
+                assert coeff_unified(p, q) == cotderiv._eulerian(p, q), (p, q)
 
     def test_zero_multiplier_excluded(self):
         # The single formula does not extend to the constant harmonic: it
@@ -125,19 +125,34 @@ class TestExpansion:
         for p in range(1, 61):
             start = 0 if p % 2 else 1
             assert expansion(p).harmonics == tuple(
-                (j, coeff(p, j)) for j in range(start, p, 2)
+                (j, cotderiv._eulerian(p, j)) for j in range(start, p, 2)
             ), p
 
+    def test_point_requests_read_the_tables(self):
+        # Every harmonic of every order the benchmark builds: the public
+        # point requests, the table and the paper's formula agree.
+        for p in range(1, 221):
+            table = dict(expansion(p).harmonics)
+            for q in range(1 - p % 2, p, 2):
+                assert coeff(p, q) == table[q] == cotderiv._eulerian(p, q), (p, q)
+
     def test_request_order_does_not_change_tables(self, monkeypatch):
-        def tables(orders):
+        # A request is (p,) for expansion(p) or (p, q) for coeff(p, q); coeff
+        # builds the rows it reads, so point requests come first and between.
+        def tables(requests):
             monkeypatch.setattr(cotderiv, "_ROWS", [[0, 1]])
             expansion.cache_clear()
-            return {p: expansion(p) for p in orders}
+            return {r: coeff(*r) if len(r) == 2 else expansion(*r) for r in requests}
 
-        ascending = tables(range(1, 81))
-        orders = list(range(1, 81))
-        random.Random(80).shuffle(orders)
-        assert tables(orders) == ascending
+        rng = random.Random(80)
+        orders = [(p,) for p in range(1, 81)]
+        points = [(p, rng.randrange(1 - p % 2, p, 2))
+                  for p in rng.sample(range(1, 121), 12)]
+        ascending = tables(orders + points)
+        requests = points[:2] + rng.sample(orders, len(orders))
+        for point in points[2:]:
+            requests.insert(rng.randrange(3, len(requests)), point)
+        assert tables(requests) == ascending
 
     def test_expansion_keeps_its_cache(self):
         # perfbench's tracer counts table builds through cache_info().misses.
@@ -189,7 +204,7 @@ class TestAlternatingSum:
                 expected = -(p + 1) * textbook_sum(p, (p - 1) // 2, p - 1)
             else:
                 expected = (-1) ** p * 2 * textbook_sum(p + 1, (p - q + 1) // 2, p)
-                assert coeff_unified(p, q) == expected, q
+            assert cotderiv._eulerian(p, q) == expected, q
             assert coeff(p, q) == expected, q
 
 
@@ -482,4 +497,4 @@ def test_property_closed_form_equals_oracle(order, x):
 def test_property_unified_matches_piecewise(data):
     p = data.draw(st.integers(min_value=2, max_value=40))
     q = data.draw(st.sampled_from(list(range(2 if p % 2 else 1, p, 2))))
-    assert coeff_unified(p, q) == coeff(p, q)
+    assert coeff_unified(p, q) == cotderiv._eulerian(p, q)
