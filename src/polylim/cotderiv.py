@@ -17,12 +17,14 @@ and carries three independent routes to them:
   <m, k> = sum_{l<=k} (-1)**l C(m+1, l) (k+1-l)**m, which verify and the
   tests hold against the tables;
 * a polynomial oracle: the same derivative written as an integer polynomial
-  in t = cot x, obtained by repeatedly applying  P(t) -> P'(t) * (-1 - t**2),
-  and rewritten exactly into the cosine basis.
+  P_p in t = cot x, and rewritten exactly into the cosine basis.  Its rows
+  form one table per process, each built from the one before by
+  P(t) -> P'(t) * (-1 - t**2).
 
-Values come from that polynomial, Hoffman's derivative polynomial P_p (Amer.
-Math. Monthly 102, 1995), whose coefficients all have the sign (-1)**p, so
-Horner's rule cancels nothing.  The cosine sums, which cancel near the zeros
+Values come from that table of Hoffman's derivative polynomials (Amer. Math.
+Monthly 102, 1995), whose coefficients in P_p all have the sign (-1)**p, so
+Horner's rule cancels nothing.  The same table gives polygamma its tangent
+numbers, T_k = -P_(2k-1)(0).  The cosine sums, which cancel near the zeros
 of cos and at large |x|, serve the exact tables and verify's cross-check.
 """
 from __future__ import annotations
@@ -110,35 +112,9 @@ def _harmonic_index(order, multiplier, unified: bool = False) -> tuple[int, int]
 
 
 def _alternating_sum(n: int, a: int, power: int) -> int:
-    """sum_{l < a} (-1)**l * C(n, l) * (a - l)**power, exactly.
-
-    With n = power + 1 this is the Eulerian number <power, a - 1> (Graham,
-    Knuth and Patashnik, Concrete Mathematics, section 6.2).  The bases
-    j = a - l are walked upwards from 1, keeping every j**power: an even j
-    is (j/2)**power shifted left by power bits, an odd multiple of 3 or 5
-    other than 3 and 5 is the product of two powers already built, and only
-    the other bases pay for pow.  The binomial is carried downwards from
-    C(n, a - 1) by C(n, l) = C(n, l+1) * (l+1) // (n-l), which is exact
-    because the product is C(n, l) * (n-l).  Each step subtracts the running
-    total from its term, so term j ends with sign (-1)**(a-j).
-    """
-    powers = [0, 1]
-    binom = math.comb(n, a - 1)
-    total = binom
-    for j in range(2, a + 1):
-        ell = a - j
-        binom = binom * (ell + 1) // (n - ell)
-        if not j & 1:
-            x = powers[j >> 1] << power
-        elif not j % 3 and j > 3:
-            x = powers[3] * powers[j // 3]
-        elif not j % 5 and j > 5:
-            x = powers[5] * powers[j // 5]
-        else:
-            x = j**power
-        powers.append(x)
-        total = binom * x - total
-    return total
+    """sum_{l < a} (-1)**l C(n, l) (a - l)**power: with n = power + 1, the
+    Eulerian number <power, a - 1> (Concrete Mathematics, section 6.2)."""
+    return sum((-1) ** l * math.comb(n, l) * (a - l) ** power for l in range(a))
 
 
 def _eulerian(p: int, q: int) -> int:
@@ -217,12 +193,36 @@ def expansion(order: int) -> CotDerivExpansion:
     return CotDerivExpansion(order, order + 1, harmonics)
 
 
+# _POLYNOMIALS[n][i] multiplies t**i in P_n; row n has length n + 2 and
+# starts from P_0 = t.  Extended on demand by _polynomial_row.
+_POLYNOMIALS: list[tuple[int, ...]] = [(0, 1)]
+
+
+def _polynomial_row(order: int) -> tuple[int, ...]:
+    """P_order's coefficients, lowest power first, building missing rows first.
+
+    d/dx through t = cot x is P(t) -> P'(t) * (-1 - t**2): the term c t**i of
+    P_n adds -i c at t**(i-1) and at t**(i+1) of P_(n+1).  P_n has the parity
+    of n + 1, so only every other i carries a term.
+    """
+    while len(_POLYNOMIALS) <= order:
+        row = _POLYNOMIALS[-1]
+        n = len(row) - 2
+        nxt = [0] * (n + 3)
+        for i in range(1 + n % 2, n + 2, 2):
+            c = i * row[i]
+            nxt[i - 1] -= c
+            nxt[i + 1] -= c
+        _POLYNOMIALS.append(tuple(nxt))
+    return _POLYNOMIALS[order]
+
+
 @lru_cache(maxsize=None)
 def _scaled_row(order: int) -> tuple[float, ...]:
     """|coefficients| of P_order over order!, highest power first, zeros dropped;
     each int / int division rounds once.  The largest entry, at 170, is 8.3e16."""
     scale = math.factorial(order)
-    return tuple(abs(c) / scale for c in oracle_expansion(order).coefficients[::-2])
+    return tuple(abs(c) / scale for c in _polynomial_row(order)[::-2])
 
 
 def _derivative_polynomial(order: int, t: float, label, arg) -> float:
@@ -272,23 +272,10 @@ def eval_cot_deriv_pi(order: int, z: float) -> float:
     return _derivative_polynomial(order, t if d > 0 else -t, "pi*", z)
 
 
-@lru_cache(maxsize=None)
 def oracle_expansion(order: int) -> CotPolynomial:
-    """cot^(order) as a polynomial in t = cot x, by exact differentiation.
-
-    Base case is the identity polynomial t; each step applies
-    P(t) -> P'(t) * (-1 - t**2), which is d/dx applied through t = cot x.
-    """
-    order = as_order(order, exact=True)
-    cur = [0, 1]
-    for _ in range(order):
-        deriv = [(i + 1) * c for i, c in enumerate(cur[1:])]
-        nxt = [0] * (len(deriv) + 2)
-        for i, c in enumerate(deriv):
-            nxt[i] -= c
-            nxt[i + 2] -= c
-        cur = nxt
-    return CotPolynomial(cur)
+    """cot^(order) as a polynomial in t = cot x: P_order, read from the table
+    of rows.  The order is checked before any row is built."""
+    return CotPolynomial(_polynomial_row(as_order(order, exact=True)))
 
 
 def _fold_cos(d: dict[int, Fraction], j: int, val: Fraction) -> None:

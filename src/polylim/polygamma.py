@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._kernels import shifted_power_sum
-from .cotderiv import eval_cot_deriv_pi
+from .cotderiv import _polynomial_row, eval_cot_deriv_pi
 from .errors import (
     DOUBLE_MAX,
     DomainError,
@@ -74,28 +74,17 @@ class PolygammaResult(
 def _bernoulli_numbers() -> tuple[Fraction, ...]:
     """B0 .. B_BERNOULLI_SIZE as exact rationals, B1 = -1/2.
 
-    Tangent numbers T_1, T_2, T_3, ... = 1, 2, 16, ... come from the integer
-    recurrence of Knuth and Buckholtz (Math. Comp. 21, 1967), then
-    B_2k = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1)).  The odd B past B1
-    vanish.  Only integers are added; each B_2k is one Fraction.
+    The tangent numbers T_k = tan^(2k-1)(0) = 1, 2, 16, ... come from the
+    derivative-polynomial table behind ``eval_cot_deriv``: cot(pi/2 + h) =
+    -tan h and cot(pi/2) = 0, so T_k = -cot^(2k-1)(pi/2) = -P_(2k-1)(0).
+    Then B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)); the odd B past B1 vanish.
     """
-    half = BERNOULLI_SIZE // 2
-    t = [0, 1] + [0] * (half - 1)
-    for k in range(2, half + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, half + 1):
-        for j in range(k, half + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
     values = [Fraction(1), Fraction(-1, 2)]
-    for m in range(2, BERNOULLI_SIZE + 1):
-        if m % 2:
-            values.append(Fraction(0))
-        else:
-            k = m // 2
-            four_k = 4**k
-            sign = 1 if k % 2 else -1
-            values.append(Fraction(sign * m * t[k], four_k * (four_k - 1)))
-    return tuple(values)
+    for k in range(1, BERNOULLI_SIZE // 2 + 1):
+        tangent = -_polynomial_row(2 * k - 1)[0]
+        values.append(Fraction((-1) ** (k - 1) * 2 * k * tangent, 4**k * (4**k - 1)))
+        values.append(Fraction(0))
+    return tuple(values[: BERNOULLI_SIZE + 1])
 
 
 def bernoulli(index: int) -> Fraction:

@@ -130,8 +130,12 @@ def _check_parity() -> CheckResult:
 def _check_exact_extraction() -> CheckResult:
     failures = []
     for p in range(1, 13):
-        recovered = cotderiv.harmonics_from_polynomial(p, cotderiv.oracle_expansion(p))
-        if recovered != cotderiv.expansion(p).harmonics:
+        try:
+            got = cotderiv.harmonics_from_polynomial(p, cotderiv.oracle_expansion(p))
+        except DomainError as exc:  # a row whose cosine form is not integral
+            failures.append(f"order {p}: {exc}")
+            continue
+        if got != cotderiv.expansion(p).harmonics:
             failures.append(f"order {p}: extraction mismatch")
     return _result("exact-harmonic-extraction", failures, "orders 1..12 exact")
 
@@ -162,7 +166,7 @@ def _check_bernoulli() -> CheckResult:
             failures.append(f"B{m} != 0")
     # The defining recurrence sum_{j<=m} C(m+1, j) * B_j = 0, summed exactly
     # over the integers B_j * L, L the lcm of the denominators; the table is
-    # built from tangent numbers, so this is an independent check.
+    # built from the constant terms of P_n, so this is an independent check.
     values = [bernoulli(j) for j in range(60)]
     scale = math.lcm(*(b.denominator for b in values))
     scaled = [b.numerator * (scale // b.denominator) for b in values]

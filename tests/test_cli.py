@@ -726,6 +726,49 @@ class TestVerifyChecksCanFail:
         mutate_expansion(monkeypatch, 5, bump_first_coefficient)
         assert_fails(verify._check_exact_extraction(), "exact-harmonic-extraction")
 
+    def test_exact_extraction_reports_a_non_integer_row(self, monkeypatch, capsys):
+        # A polynomial whose cosine form is not integral is the check's
+        # failure at that order; the suite still prints every check line.
+        exact = cotderiv.oracle_expansion
+
+        def oracle(p):
+            poly = exact(p)
+            if p != 5:
+                return poly
+            c = poly.coefficients
+            return poly._replace(coefficients=(*c[:2], c[2] + 1, *c[3:]))
+
+        monkeypatch.setattr(cotderiv, "oracle_expansion", oracle)
+        code, out, err = run_main(capsys, "verify", "--suite", "coeffs")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert len(lines) == 7
+        assert lines[5] == ("FAIL exact-harmonic-extraction (order 5: non-integer "
+                            "coefficient -1055/16 at multiplier 0)")
+
+    # On a fresh table of derivative polynomials, one wrong row shows up in
+    # every check that reads it.
+
+    def test_bernoulli_recurrence_sees_a_wrong_tangent_number(self, fresh_polynomials):
+        # P_9(0) = -T_5, behind B10.  A constant term drops out of the next
+        # row's derivative, so no later row inherits the error.
+        row = cotderiv._polynomial_row(9)
+        fresh_polynomials[9] = (row[0] + 1, *row[1:])
+        result = verify._check_bernoulli()
+        assert_fails(result, "bernoulli-recurrence")
+        assert result.detail == "recurrence defect at m=10 (+49 more)"
+
+    def test_coeffs_suite_sees_one_wrong_polynomial_entry(self, fresh_polynomials):
+        row = cotderiv._polynomial_row(5)
+        fresh_polynomials[5] = (*row[:2], row[2] + 1, *row[3:])
+        results = {r.name: r for r in verify.coeffs_suite()}
+        extraction = results["exact-harmonic-extraction"]
+        assert_fails(extraction, "exact-harmonic-extraction")
+        assert extraction.detail.startswith(
+            "order 5: non-integer coefficient -1055/16 at multiplier 0"
+        )
+        assert_fails(results["oracle-equivalence"], "oracle-equivalence")
+
     def test_bernoulli_recurrence_sees_a_wrong_b10(self, monkeypatch):
         exact = verify.bernoulli
         monkeypatch.setattr(verify, "bernoulli", lambda m: exact(m) + (m == 10))

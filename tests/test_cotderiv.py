@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import math
 import random
 
@@ -12,6 +13,7 @@ from polylim import (
     HarmonicRangeError,
     InvalidHarmonicError,
     PoleError,
+    bernoulli,
     coeff,
     coeff_unified,
     eval_cot_deriv,
@@ -188,15 +190,16 @@ def eulerian_table(max_m):
 
 class TestAlternatingSum:
     def test_matches_textbook_sum_and_eulerian_numbers(self):
+        # The Eulerian recurrence is the reference that shares no code with
+        # the sum.
         eulerian = eulerian_table(160)
         for m in range(161):
             for a in range(1, (m + 1) // 2 + 2):
                 value = cotderiv._alternating_sum(m + 1, a, m)
                 assert value == textbook_sum(m + 1, a, m) == eulerian[m][a - 1], (m, a)
 
-    # Orders above the pinned ones.  At p = 400 the bases run up to 200: past
-    # 9, 15, 25, 45 and 75, each one product of powers already built, and
-    # past the prime squares 49, 121 and 169, which pay for pow.
+    # Orders above the pinned ones, up to 400: the paper's formula, summed
+    # term by term, and the recurrence tables behind coeff agree.
     @pytest.mark.parametrize("p", [221, 241, 289, 361, 400])
     def test_point_formulas_match_textbook_sum(self, p):
         for q in range(1 - p % 2, p, 2):
@@ -451,6 +454,39 @@ class TestPolynomialOracle:
     def test_extraction_rejects_degree_mismatch(self):
         with pytest.raises(DomainError):
             harmonics_from_polynomial(3, oracle_expansion(5))
+
+    def test_request_order_does_not_change_polynomial_rows(self, fresh_polynomials):
+        # bernoulli reads P_1 .. P_59, eval_cot_deriv(170, x) reads P_170 and
+        # oracle_expansion(n) reads P_n, all from one table that each run
+        # starts from P_0 alone.  A request is (name, argument).
+        polygamma = importlib.import_module("polylim.polygamma")
+        calls = {"bernoulli": bernoulli, "eval": lambda x: eval_cot_deriv(170, x),
+                 "oracle": oracle_expansion}
+
+        def run(requests):
+            del fresh_polynomials[1:]
+            cotderiv._scaled_row.cache_clear()
+            polygamma._bernoulli_numbers.cache_clear()
+            values = {r: calls[r[0]](r[1]) for r in requests}
+            return values, list(fresh_polynomials)
+
+        reference = [(0, 1)]
+        for _ in range(170):
+            deriv = [i * c for i, c in enumerate(reference[-1])][1:]
+            nxt = [0] * (len(deriv) + 2)
+            for i, c in enumerate(deriv):
+                nxt[i] -= c
+                nxt[i + 2] -= c
+            reference.append(tuple(nxt))
+
+        requests = ([("oracle", n) for n in range(171)]
+                    + [("bernoulli", m) for m in range(61)]
+                    + [("eval", x) for x in (1.3, 1.5, 1.8)])
+        ascending, rows = run(requests)
+        assert rows == reference
+        shuffled, rows = run(random.Random(170).sample(requests, len(requests)))
+        assert rows == reference
+        assert shuffled == ascending
 
     # -10**5000 has more digits than int-to-str conversion allows, so the
     # ids stand for the orders.

@@ -55,7 +55,8 @@ class TestBernoulli:
             assert bernoulli(m) == 0
 
     def test_defining_recurrence(self):
-        # The table comes from tangent numbers; solve the defining recurrence
+        # The table comes from the constant terms of the derivative
+        # polynomials P_n; solve the defining recurrence
         # sum_{j<=m} C(m+1, j) * B_j = 0 for B_m directly as the reference.
         reference = [Fraction(1)]
         for m in range(1, 61):
