@@ -9,9 +9,11 @@ where j runs over 0, 2, ..., p-1 for odd p and 1, 3, ..., p-1 for even p,
 and the b[p,j] are integers.  This module generates those integers exactly
 and carries three independent routes to them:
 
-* the tables behind ``expansion``, ``coeff`` and ``coeff_unified``, built
-  once per process by an O(p) integer recurrence per order that comes from
-  differentiating the numerator over sin**(p+1);
+* one table behind ``expansion``, ``coeff`` and ``coeff_unified``, whose row
+  p is the harmonics tuple ((j, b[p,j]), ...) that ``expansion(p)`` serves.
+  Each row is built once per process from the one before, by an O(p)
+  integer recurrence that comes from differentiating the numerator over
+  sin**(p+1);
 * the paper's piecewise and unified formulas, one Eulerian sum in
   ``_eulerian``, b[p,q] = (-1)**p (2 - [q = 0]) <p, (p-q-1)/2>, with
   <m, k> = sum_{l<=k} (-1)**l C(m+1, l) (k+1-l)**m, which verify and the
@@ -140,7 +142,7 @@ def coeff(order: int, multiplier: int) -> int:
     multiplier >= order.
     """
     p, q = _harmonic_index(order, multiplier)
-    return _numerator_row(p)[q]
+    return _numerator_row(p)[q // 2][1]
 
 
 def coeff_unified(order: int, multiplier: int) -> int:
@@ -150,47 +152,45 @@ def coeff_unified(order: int, multiplier: int) -> int:
     give twice the coefficient, so that column is excluded.
     """
     p, q = _harmonic_index(order, multiplier, unified=True)
-    return _numerator_row(p)[q]
+    return _numerator_row(p)[q // 2][1]
 
 
-# _ROWS[p][j] = b[p, j]; row p has length p + 2 and starts from
-# cot x = cos x / sin x.  Extended on demand by _numerator_row.
-_ROWS: list[list[int]] = [[0, 1]]
+# _ROWS[p] = ((j, b[p, j]), ...), the harmonics that expansion(p) serves, so
+# b[p, j] is _ROWS[p][j // 2][1].  Row 0 is cot x = cos x / sin x.
+_ROWS: list[tuple[tuple[int, int], ...]] = [((1, 1),)]
 
 
-def _numerator_row(order: int) -> list[int]:
-    """Coefficient row b[order, .], building the missing rows first.
+def _numerator_row(order: int) -> tuple[tuple[int, int], ...]:
+    """Harmonics tuple of row ``order``, building the missing rows first.
 
     With N_p the numerator over sin**(p+1), differentiating gives
     N_{p+1} = N_p' sin x - (p+1) N_p cos x.  Rewriting each product as a sum
-    of cosines, with cos(-x) folded into cos(x), turns that into
+    of cosines turns that into, for every m with m + p even,
 
-        b[p+1, |j-1|] += -((j+p+1) // 2) * b[p, j]
-        b[p+1, j+1]   += ((j-p-1) // 2) * b[p, j]
+        b[p+1, m] = (m - p - 2)/2 * b[p, m - 1] - (m + p + 2)/2 * b[p, m + 1]
 
-    Row p holds only multipliers j with j + p odd, so both factors j ± (p+1)
-    are even and halving them is exact.
+    with both halvings exact; the loop's g and h are those halves.  m starts at
+    -(p % 2), and cos(-x) = cos x folds m = -1 into m = 1.  The m = p + 2
+    entry is zero, so row p + 1 stops below its order.
     """
-    while len(_ROWS) <= order:
-        p = len(_ROWS) - 1
-        row = _ROWS[p]
-        nxt = [0] * (p + 3)
-        for j in range(1 - p % 2, p + 2, 2):
-            b = row[j]
-            nxt[abs(j - 1)] -= (j + p + 1) // 2 * b
-            nxt[j + 1] += (j - p - 1) // 2 * b
-        _ROWS.append(nxt)
-    return _ROWS[order]
+    while True:
+        try:
+            return _ROWS[order]
+        except IndexError:
+            p = len(_ROWS) - 1
+            b, k = [v for _, v in _ROWS[p]], p // 2 + 1
+            nxt = [g * lo - h * hi for g, h, lo, hi in
+                   zip(range(k - p - 2, 0), range(k, p + 3), [0, *b], [*b, 0])]
+            if p % 2:
+                nxt[1] += nxt[0]
+            _ROWS.append(tuple(zip(range(p % 2, p + 1, 2), nxt[p % 2:])))
 
 
 @lru_cache(maxsize=None)
 def expansion(order: int) -> CotDerivExpansion:
-    """Full closed form of cot^(order) with all harmonics populated."""
+    """Full closed form of cot^(order), its harmonics read from the table."""
     order = as_order(order, minimum=1, exact=True)
-    row = _numerator_row(order)
-    start = 0 if order % 2 else 1
-    harmonics = tuple(zip(range(start, order, 2), row[start:order:2]))
-    return CotDerivExpansion(order, order + 1, harmonics)
+    return CotDerivExpansion(order, order + 1, _numerator_row(order))
 
 
 # _POLYNOMIALS[n][i] multiplies t**i in P_n; row n has length n + 2 and

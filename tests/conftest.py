@@ -6,6 +6,17 @@ from polylim import cotderiv
 
 
 @pytest.fixture
+def fresh_rows(monkeypatch):
+    """The table of harmonics rows seeded with row 0 alone, with expansion's
+    cache cleared before and after, so that no row or record built here
+    outlives the test."""
+    cotderiv.expansion.cache_clear()
+    monkeypatch.setattr(cotderiv, "_ROWS", [((1, 1),)])
+    yield cotderiv._ROWS
+    cotderiv.expansion.cache_clear()
+
+
+@pytest.fixture
 def fresh_polynomials(monkeypatch):
     """An empty table of derivative polynomials P_n, with the caches built
     from it cleared before and after, so that no row or value built here

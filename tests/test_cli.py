@@ -638,15 +638,16 @@ class TestVerifyChecksCanFail:
         assert not result.passed
         assert result.detail.startswith("(17,6): table != piecewise")
 
-    def test_unified_agreement_sees_one_wrong_table_entry(self, monkeypatch):
-        # On fresh rows, and past expansion's cache, so that expansion and
+    def test_unified_agreement_sees_one_wrong_table_entry(self, fresh_rows):
+        # On fresh rows with a cold expansion cache, so that expansion and
         # coeff_unified both read the wrong entry and nothing keeps it.  The
         # rows the check reads are built first, so that no later row
         # inherits the error.
-        monkeypatch.setattr(cotderiv, "_ROWS", [[0, 1]])
-        monkeypatch.setattr(cotderiv, "expansion", cotderiv.expansion.__wrapped__)
         cotderiv._numerator_row(30)
-        cotderiv._ROWS[17][6] += 1
+        row = fresh_rows[17]
+        j, b = row[3]
+        assert j == 6
+        fresh_rows[17] = (*row[:3], (j, b + 1), *row[4:])
         result = verify._check_unified_agreement()
         assert result.name == "unified-piecewise-agreement"
         assert not result.passed

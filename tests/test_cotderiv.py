@@ -1,7 +1,11 @@
 import hashlib
 import importlib
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +28,8 @@ from polylim import (
 )
 from polylim import cotderiv, verify
 from polylim.errors import DOUBLE_MAX
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def grid(lo, hi, count):
@@ -138,11 +144,11 @@ class TestExpansion:
             for q in range(1 - p % 2, p, 2):
                 assert coeff(p, q) == table[q] == cotderiv._eulerian(p, q), (p, q)
 
-    def test_request_order_does_not_change_tables(self, monkeypatch):
+    def test_request_order_does_not_change_tables(self, fresh_rows):
         # A request is (p,) for expansion(p) or (p, q) for coeff(p, q); coeff
         # builds the rows it reads, so point requests come first and between.
         def tables(requests):
-            monkeypatch.setattr(cotderiv, "_ROWS", [[0, 1]])
+            del fresh_rows[1:]
             expansion.cache_clear()
             return {r: coeff(*r) if len(r) == 2 else expansion(*r) for r in requests}
 
@@ -155,6 +161,18 @@ class TestExpansion:
         for point in points[2:]:
             requests.insert(rng.randrange(3, len(requests)), point)
         assert tables(requests) == ascending
+
+    def test_expansion_serves_the_stored_rows(self, fresh_rows):
+        # Cold point requests build the rows first; expansion then hands out
+        # the stored tuple itself, not a copy rebuilt on each call.
+        rng = random.Random(30)
+        for p in rng.sample(range(1, 221), 20):
+            coeff(p, rng.randrange(1 - p % 2, p, 2))
+        for p in range(1, 221):
+            harmonics = expansion(p).harmonics
+            assert harmonics is fresh_rows[p], p
+            for q, b in harmonics:
+                assert coeff(p, q) == b, (p, q)
 
     def test_expansion_keeps_its_cache(self):
         # perfbench's tracer counts table builds through cache_info().misses.
@@ -242,6 +260,35 @@ class TestExactnessPins:
         assert hex_digest(
             b for p in range(1, 221) for _, b in expansion(p).harmonics
         ) == EXPANSION_PIN_DIGEST
+
+
+# Max RSS of a fresh interpreter that makes one cold call, in MB: twice the
+# measured value, rounded up.  At the table cap every row 0..1000 stays in
+# memory as its harmonics tuple; coeff(1000, 1) measured 194 MB, of which
+# the interpreter and the import take 15.
+MEMORY_BUDGETS_MB = {
+    "coeff(1000, 1)": 390,
+}
+
+
+@pytest.mark.parametrize("call", MEMORY_BUDGETS_MB)
+def test_cold_cap_memory_budget(call):
+    pytest.importorskip("resource")
+    if not sys.platform.startswith("linux"):
+        pytest.skip("ru_maxrss is counted in KiB only on Linux")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    # Linux starts a child's ru_maxrss at the peak of the process it was
+    # spawned from, here the test runner, so a small interpreter in between
+    # spawns the measured one and reads its peak as RUSAGE_CHILDREN.
+    script = ("import resource, subprocess, sys; "
+              f"subprocess.run([sys.executable, '-c', 'import polylim; polylim.{call}'], "
+              "check=True); "
+              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    cp = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                        text=True, env=env, timeout=60)
+    assert cp.returncode == 0, cp.stderr
+    assert int(cp.stdout) / 1024 <= MEMORY_BUDGETS_MB[call], int(cp.stdout)
 
 
 class TestEvalCotDeriv:
